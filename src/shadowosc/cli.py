@@ -112,11 +112,14 @@ def _sign_matches(value, x) -> bool:
 
 
 def cmd_coeffs(args) -> tuple[list[list[str]], int]:
+    max_degree = args.max_degree
     if args.letters == 2:
-        max_degree = args.max_degree or goldberg.DEFAULT_MAX_DEGREE_TWO
+        if max_degree is None:
+            max_degree = goldberg.DEFAULT_MAX_DEGREE_TWO
         reports = goldberg.verify_two_letter(max_degree)
     else:
-        max_degree = args.max_degree or goldberg.DEFAULT_MAX_DEGREE_THREE
+        if max_degree is None:
+            max_degree = goldberg.DEFAULT_MAX_DEGREE_THREE
         reports = goldberg.verify_three_letter(max_degree)
     rows = [["word", "closed_form", "oracle", "match"]]
     failed = False

@@ -8,7 +8,11 @@ stored, which makes equality of series plain dictionary equality.
 This is the brute-force side of every coefficient identity checked in
 :mod:`shadowosc.goldberg`: ``log_exp_product`` multiplies out exponentials
 of single letters and takes the formal logarithm, with no closed-form
-knowledge baked in.
+knowledge baked in.  It does that work on integers over one known
+denominator per word length (a divided-power scaling, described in its
+docstring), so its hot loop takes no gcd, and it builds Fractions only
+for the words of its result.  The Fraction ring operations
+``series_mul``, ``series_exp`` and ``series_log`` are its reference.
 """
 
 from __future__ import annotations
@@ -203,13 +207,80 @@ def log_exp_product(
     ``weights`` is a sequence of (letter index, rational scale) pairs; the
     result is log(exp(s0 * x_l0) * exp(s1 * x_l1) * ...) truncated at
     ``max_degree``.  This one routine is the oracle for every word
-    coefficient claimed in closed form elsewhere.
+    coefficient claimed in closed form elsewhere.  It knows no closed
+    form: it multiplies out the exponentials and takes the formal log,
+    the same computation as composing ``series_exp``, ``series_mul`` and
+    ``series_log``, which the tests keep as its reference.
+
+    The work is done on integers in divided-power scaling.  With ``b``
+    the lcm of the scale denominators, a coefficient ``c`` of a word
+    ``w`` is held as the integer ``c * b^|w| * |w|!``:
+
+    * ``exp(s x_l)`` has ``s^m / m!`` on ``x_l^m``, held as ``(s b)^m``;
+    * a product picks up the binomial ``|uv|! / (|u|! |v|!)``, so
+      ``R[uv] += C(|uv|, |u|) * P[u] * Q[v]`` stays integral;
+    * with ``S = P - 1`` and ``M = lcm(1..max_degree)``, the log
+      ``sum (-1)^(m+1) S^m / m`` is held as ``sum (-1)^(m+1) (M/m) S^m``.
+
+    Every step is integer addition and multiplication, so nothing is
+    rounded or reduced, and each held value is the true coefficient times
+    a positive integer fixed by the word length alone.  Dividing that
+    integer out, one Fraction per surviving word, gives the exact result;
+    no gcd is taken before then.
     """
     if not weights:
         raise ValueError("log_exp_product needs at least one factor")
-    product = FreeSeries.one(max_degree)
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be positive, got {max_degree}")
+    scales = []
     for index, scale in weights:
-        product = series_mul(
-            product, series_exp(FreeSeries.letter(index, max_degree, scale))
-        )
-    return series_log(product)
+        if index < 0:
+            raise ValueError(f"letter index must be >= 0, got {index}")
+        scales.append((index, Fraction(scale)))
+    base = math.lcm(*(scale.denominator for _, scale in scales))
+    product: dict[Word, int] = {(): 1}
+    for index, scale in scales:
+        weight = scale.numerator * (base // scale.denominator)
+        factor = {(index,) * m: weight**m for m in range(max_degree + 1)}
+        product = _divided_power_mul(product, factor, max_degree)
+    del product[()]  # S = P - 1; every factor has constant term 1
+    common = math.lcm(*range(1, max_degree + 1))
+    total: dict[Word, int] = {}
+    power = product
+    for m in range(1, max_degree + 1):
+        if not power:
+            break
+        coeff = common // m if m % 2 else -(common // m)
+        for word, value in power.items():
+            total[word] = total.get(word, 0) + coeff * value
+        power = _divided_power_mul(power, product, max_degree)
+    denominators = [common * base**n * math.factorial(n) for n in range(max_degree + 1)]
+    return FreeSeries(
+        max_degree,
+        {w: Fraction(v, denominators[len(w)]) for w, v in total.items() if v},
+    )
+
+
+def _divided_power_mul(
+    left: dict[Word, int], right: dict[Word, int], limit: int
+) -> dict[Word, int]:
+    """Truncated concatenation product of two divided-power series.
+
+    Both factors and the result hold ``c * b^|w| * |w|!`` per word, so
+    each pair carries the binomial ``C(|u| + |v|, |u|)``.  Zero terms are
+    dropped.
+    """
+    by_length: dict[int, list[tuple[Word, int]]] = {}
+    for word, value in right.items():
+        by_length.setdefault(len(word), []).append((word, value))
+    product: dict[Word, int] = {}
+    for left_word, left_value in left.items():
+        size = len(left_word)
+        for length, items in by_length.items():
+            if size + length > limit:
+                continue
+            scale = math.comb(size + length, size) * left_value
+            for right_word, right_value in items:
+                word = left_word + right_word
+                product[word] = product.get(word, 0) + scale * right_value
+    return {word: value for word, value in product.items() if value}

@@ -203,11 +203,14 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     Terms are accumulated until the next one drops below rel_tol of the
     running total.  For |x| >= 2 the series diverges and this raises
     SeriesDivergesError rather than summing: past that step size there is
-    no continuous motion for the discrete map to shadow.
+    no continuous motion for the discrete map to shadow.  NaN raises
+    ValueError before any term is summed.
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     x = float(x)
+    if math.isnan(x):
+        raise ValueError("generator scale series is undefined at x = nan")
     if abs(x) >= 2.0:
         raise SeriesDivergesError(
             f"generator scale series diverges for |x| >= 2 (got x = {x})"
@@ -228,9 +231,12 @@ def generator_scale_closed_form(x: Scalar) -> float:
     """Closed form 2 asin(x/2) / (x sqrt(1 - x^2/4)) of the scale series.
 
     Derived, not assumed: validated against partial sums before any test
-    leans on it (see the acceptance suite).
+    leans on it (see the acceptance suite).  NaN raises ValueError and
+    |x| >= 2, infinities included, raises SeriesDivergesError.
     """
     x = float(x)
+    if math.isnan(x):
+        raise ValueError("generator scale is undefined at x = nan")
     if abs(x) >= 2.0:
         raise SeriesDivergesError(
             f"generator scale has no finite value for |x| >= 2 (got x = {x})"

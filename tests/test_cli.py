@@ -188,9 +188,10 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_coeffs_degree_out_of_range_exits_two(capsys):
-    code = cli.main(["coeffs", "--letters", "3", "--max-degree", "2"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    for letters, degree in (("3", "2"), ("2", "0"), ("3", "0")):
+        code = cli.main(["coeffs", "--letters", letters, "--max-degree", degree])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_coeffs_default_degrees(capsys):

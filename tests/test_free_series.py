@@ -11,7 +11,7 @@ from shadowosc.free_series import (
     series_mul,
 )
 
-A, B = 0, 1
+A, B, C = 0, 1, 2
 
 
 def random_series(rng, max_degree, letters=2, terms=10, zero_constant=True):
@@ -108,6 +108,38 @@ def test_log_exp_product_single_factor():
 def test_log_exp_product_needs_factors():
     with pytest.raises(ValueError):
         log_exp_product([], 3)
+
+
+def reference_log_exp_product(weights, max_degree):
+    """The oracle composed from the Fraction ring operations."""
+    product = FreeSeries.one(max_degree)
+    for index, scale in weights:
+        letter = FreeSeries.letter(index, max_degree, scale)
+        product = series_mul(product, series_exp(letter))
+    return series_log(product)
+
+
+@pytest.mark.parametrize(
+    "weights, max_degree",
+    [
+        (((A, 1), (B, 1)), 1),
+        (((A, 1), (B, 1)), 9),
+        (((A, 2), (B, 2)), 9),
+        (((A, Fraction(-3, 5)), (B, Fraction(7, 4)), (C, Fraction(1, 3))), 6),
+        (((A, 1), (B, 0)), 9),
+        (((A, 0), (B, Fraction(1, 2)), (C, -1)), 6),
+        (((A, Fraction(1, 2)), (B, 1), (A, Fraction(1, 2))), 9),
+    ],
+)
+def test_log_exp_product_matches_fraction_reference(weights, max_degree):
+    assert log_exp_product(weights, max_degree) == reference_log_exp_product(
+        weights, max_degree
+    )
+
+
+def test_log_exp_product_rejects_negative_letter():
+    with pytest.raises(ValueError):
+        log_exp_product([(A, 1), (-1, 1)], 3)
 
 
 def test_log_exp_roundtrip_random():

@@ -155,6 +155,24 @@ def test_generator_scale_diverges_at_and_beyond_two():
             generator_scale_closed_form(x)
 
 
+def test_generator_scale_rejects_nan():
+    with pytest.raises(ValueError) as info:
+        generator_scale(float("nan"))
+    assert not isinstance(info.value, SeriesDivergesError)
+    for x in (math.inf, -math.inf):
+        with pytest.raises(SeriesDivergesError):
+            generator_scale(x)
+
+
+def test_generator_scale_closed_form_rejects_nan():
+    with pytest.raises(ValueError) as info:
+        generator_scale_closed_form(float("nan"))
+    assert not isinstance(info.value, SeriesDivergesError)
+    for x in (math.inf, -math.inf):
+        with pytest.raises(SeriesDivergesError):
+            generator_scale_closed_form(x)
+
+
 def test_generator_scale_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         generator_scale(1.0, 0.0)
