@@ -38,6 +38,9 @@ from .oscillator import (
 
 _SCHEMES = {"first": SchemeId.FIRST_ORDER, "second": SchemeId.SECOND_ORDER}
 
+# Larger --x-range grids are refused before any sample is built.
+MAX_X_SAMPLES = 10**6
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -60,7 +63,7 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _x_range(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _x_range(text: str) -> tuple[Fraction, Fraction, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
@@ -69,15 +72,17 @@ def _x_range(text: str) -> tuple[Fraction, Fraction, Fraction]:
         raise argparse.ArgumentTypeError("step must be positive")
     if stop < start:
         raise argparse.ArgumentTypeError("stop must be >= start")
-    return start, stop, step
+    count = int((stop - start) / step) + 1
+    if count > MAX_X_SAMPLES:
+        raise argparse.ArgumentTypeError(f"more than {MAX_X_SAMPLES} samples: {text!r}")
+    return start, step, count
 
 
 def _x_samples(args) -> list[Fraction]:
     """Ascending exact sample points; a single --x wins over the range."""
     if getattr(args, "x", None) is not None:
         return [args.x]
-    start, stop, step = args.x_range
-    count = int((stop - start) / step) + 1
+    start, step, count = args.x_range
     return [start + i * step for i in range(count)]
 
 
@@ -95,6 +100,13 @@ def _series_tol(gate_tol: float) -> float:
     """Partial-sum tolerance for the scale series, kept well below the
     pass/fail gate so series truncation never decides a comparison."""
     return min(gate_tol * 1e-2, 1e-14)
+
+
+def _start(args) -> tuple[Fraction | float, PhaseState]:
+    """Time step and initial state: exact with --exact, floats otherwise."""
+    if args.exact:
+        return args.x, PhaseState(args.p0, args.q0)
+    return float(args.x), PhaseState(float(args.p0), float(args.q0))
 
 
 def _sign_matches(value, x) -> bool:
@@ -154,14 +166,12 @@ def cmd_verify(args) -> tuple[list[list[str]], int]:
             mat = map_matrix(scheme, x)
             emit(f"det_map_{label}", x_text, "exact", mat.det() == 1)
 
-            form = shadow_form(scheme, x).m
-            direction = generator_direction(scheme, x)
-            product = form @ direction
+            form = shadow_form(scheme, x)
+            product = form.m @ generator_direction(scheme, x)
             skew = product.transpose() + product
             emit(f"antisymmetry_{label}", x_text, "exact", skew == skew.zero())
-
-            det = shadow_form(scheme, x).det()
-            emit(f"shadow_det_sign_{label}", x_text, "exact", _sign_matches(det, x))
+            sign_ok = _sign_matches(form.det(), x)
+            emit(f"shadow_det_sign_{label}", x_text, "exact", sign_ok)
 
         if 0 < abs(x) < 2:
             scale = generator_scale(float(x), _series_tol(args.tol))
@@ -188,11 +198,8 @@ def cmd_verify(args) -> tuple[list[list[str]], int]:
 
 def cmd_simulate(args) -> tuple[list[list[str]], int]:
     scheme = _SCHEMES[args.scheme]
-    if args.exact:
-        x, p0, q0 = args.x, args.p0, args.q0
-    else:
-        x, p0, q0 = float(args.x), float(args.p0), float(args.q0)
-    states = trajectory(PhaseState(p0, q0), scheme, x, args.steps)
+    x, s0 = _start(args)
+    states = trajectory(s0, scheme, x, args.steps)
     rows = [["step", "p", "q", "shadow_energy", "p2_plus_q2"]]
     for step, state in enumerate(states):
         energy = shadow_energy(state, scheme, x)
@@ -209,11 +216,7 @@ def cmd_simulate(args) -> tuple[list[list[str]], int]:
 
 
 def cmd_shadow(args) -> tuple[list[list[str]], int]:
-    if args.exact:
-        x, p0, q0 = args.x, args.p0, args.q0
-    else:
-        x, p0, q0 = float(args.x), float(args.p0), float(args.q0)
-    s0 = PhaseState(p0, q0)
+    x, s0 = _start(args)
     rows = [["step", "first_energy", "first_drift", "second_energy", "second_drift"]]
     columns = []
     for scheme in (SchemeId.FIRST_ORDER, SchemeId.SECOND_ORDER):
@@ -298,7 +301,7 @@ def _add_x_choice(parser):
         type=_x_range,
         default=_x_range("0:3:0.1"),
         metavar="START:STOP:STEP",
-        help="inclusive sweep over time steps (default 0:3:0.1)",
+        help=f"inclusive sweep, at most {MAX_X_SAMPLES} samples (default 0:3:0.1)",
     )
 
 

@@ -42,16 +42,6 @@ def scale_series_coeff(n: int) -> Fraction:
     return Fraction(math.factorial(n) ** 2, math.factorial(2 * n + 1))
 
 
-def scale_series_coeffs(count: int) -> list[Fraction]:
-    """First ``count`` coefficients, built by the exact term recurrence."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    coeffs = [Fraction(1)]
-    for n in range(count - 1):
-        coeffs.append(coeffs[-1] * Fraction((n + 1) ** 2, (2 * n + 2) * (2 * n + 3)))
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # Word patterns
 # ---------------------------------------------------------------------------
@@ -149,16 +139,11 @@ def goldberg_coeff_two(w: AlternatingWord) -> Fraction:
     Odd length 2n+1: (-1)^n (n!)^2/(2n+1)! regardless of the start.
     Even length 2n+2: (-1)^n (n!)^2/(2(2n+1)!), negated for start B.
     """
+    n = (w.length - 1) // 2
+    value = (-1) ** n * scale_series_coeff(n)
     if w.length % 2:
-        n = (w.length - 1) // 2
-        return Fraction(
-            (-1) ** n * math.factorial(n) ** 2, math.factorial(2 * n + 1)
-        )
-    n = (w.length - 2) // 2
-    value = Fraction(
-        (-1) ** n * math.factorial(n) ** 2, 2 * math.factorial(2 * n + 1)
-    )
-    return value if w.start == A else -value
+        return value
+    return value / 2 if w.start == A else -value / 2
 
 
 def goldberg_coeff_three(p: ThreeWordPattern) -> Fraction:
@@ -170,12 +155,11 @@ def goldberg_coeff_three(p: ThreeWordPattern) -> Fraction:
     on which of X1/X3 sits between two X2's.
     """
     n = p.n
+    value = (-1) ** n * scale_series_coeff(n)
     if p.shape == "inner" or p.endpoints[0] == p.endpoints[1]:
-        return Fraction((-1) ** n * math.factorial(n) ** 2, math.factorial(2 * n + 1))
-    return Fraction(
-        (-1) ** (n + 1) * math.factorial(n - 1) * math.factorial(n + 1),
-        math.factorial(2 * n + 1),
-    )
+        return value
+    # (n-1)! (n+1)! = (n!)^2 (n+1)/n
+    return -value * Fraction(n + 1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +274,31 @@ def collapse_word(word: Word):
     return sign, word
 
 
-def collapse_series(series: FreeSeries) -> dict[Word, Fraction]:
-    """Apply collapse_word to every term; result lives on {1, A, B, AB, BA}."""
-    reduced: dict[Word, Fraction] = {}
+def collapse_series(series: FreeSeries) -> dict[tuple[int, Word], Fraction]:
+    """Apply collapse_word to every term, graded by the original length.
+
+    Returns {(original length, reduced word): coefficient}, zeros dropped.
+    When each letter carries one power of x, the length is the power of x
+    and the reduced word lies in {1, A, B, AB, BA}.
+    """
+    graded: dict[tuple[int, Word], Fraction] = {}
     for word, coeff in series.coeffs.items():
         hit = collapse_word(word)
         if hit is None:
             continue
-        sign, rest = hit
-        total = reduced.get(rest, Fraction(0)) + sign * coeff
-        if total:
-            reduced[rest] = total
-        elif rest in reduced:
-            del reduced[rest]
-    return reduced
+        sign, reduced = hit
+        key = (len(word), reduced)
+        graded[key] = graded.get(key, 0) + sign * coeff
+    return {key: value for key, value in graded.items() if value}
+
+
+def _graded_sequence(graded: dict, reduced: Word, max_n: int) -> tuple[Fraction, ...]:
+    """Coefficients of x^(2n + |reduced|) on ``reduced``, n = 0..max_n; a
+    collapsing word keeps the parity of its length."""
+    zero = Fraction(0)
+    return tuple(
+        graded.get((2 * n + len(reduced), reduced), zero) for n in range(max_n + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -318,31 +313,18 @@ class TwoLetterCollapse:
 
 
 def collapse_two_letter(max_n: int) -> TwoLetterCollapse:
-    """Collapse the raw two-letter log series by word rewriting.
-
-    The power of x attached to a word is its original length, so the
-    result is graded by (length, reduced word).  Expected values: the A
+    """Collapse the raw two-letter log series.  Expected values: the A
     and B sequences both equal (n!)^2/(2n+1)! and the AB/BA sequences are
     +-(n!)^2/(2(2n+1)!).
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    oracle = two_letter_oracle(2 * max_n + 2)
-    graded: dict[tuple[int, Word], Fraction] = {}
-    for word, coeff in oracle.coeffs.items():
-        hit = collapse_word(word)
-        if hit is None:
-            continue
-        sign, reduced = hit
-        key = (len(word), reduced)
-        graded[key] = graded.get(key, Fraction(0)) + sign * coeff
-    zero = Fraction(0)
-    rng = range(max_n + 1)
+    graded = collapse_series(two_letter_oracle(2 * max_n + 2))
     return TwoLetterCollapse(
-        a_coeffs=tuple(graded.get((2 * n + 1, (A,)), zero) for n in rng),
-        b_coeffs=tuple(graded.get((2 * n + 1, (B,)), zero) for n in rng),
-        ab_coeffs=tuple(graded.get((2 * n + 2, (A, B)), zero) for n in rng),
-        ba_coeffs=tuple(graded.get((2 * n + 2, (B, A)), zero) for n in rng),
+        a_coeffs=_graded_sequence(graded, (A,), max_n),
+        b_coeffs=_graded_sequence(graded, (B,), max_n),
+        ab_coeffs=_graded_sequence(graded, (A, B), max_n),
+        ba_coeffs=_graded_sequence(graded, (B, A), max_n),
     )
 
 
@@ -361,35 +343,23 @@ class StrangCollapse:
 
 
 def collapse_strang(max_n: int) -> StrangCollapse:
-    """Substitute X1 = X3 = (x/2)B, X2 = xA into the three-letter log and
-    collapse.
+    """Collapse log(exp((x/2)B) exp(xA) exp((x/2)B)) with collapse_series.
 
-    Each letter carries one power of x, so a word of length m lands on
-    x^m; X1/X3 contribute a scalar 1/2 apiece.  Only odd lengths should
-    survive, giving x(S1(x) A + S2(x) B) with S1, S2 even.
+    The weighted oracle log(exp(B/2) exp(A) exp(B/2)) is the three-letter
+    log with X1 = X3 = B/2, X2 = A substituted: substitution is an algebra
+    homomorphism, so it commutes with exp and log.  Each letter carries
+    one power of x.  Only odd lengths should survive, giving
+    x(S1(x) A + S2(x) B) with S1, S2 even.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    degree = 2 * max_n + 1
-    oracle = three_letter_oracle(degree)
     half = Fraction(1, 2)
-    graded: dict[tuple[int, Word], Fraction] = {}
-    for word, coeff in oracle.coeffs.items():
-        halves = sum(1 for letter in word if letter != X2)
-        two_letter_word = tuple(A if letter == X2 else B for letter in word)
-        hit = collapse_word(two_letter_word)
-        if hit is None:
-            continue
-        sign, reduced = hit
-        key = (len(word), reduced)
-        graded[key] = graded.get(key, Fraction(0)) + sign * coeff * half**halves
-    odd_only = all(value == 0 for (length, _), value in graded.items() if length % 2 == 0)
-    zero = Fraction(0)
-    rng = range(max_n + 1)
+    oracle = log_exp_product(((B, half), (A, 1), (B, half)), 2 * max_n + 1)
+    graded = collapse_series(oracle)
     return StrangCollapse(
-        a_coeffs=tuple(graded.get((2 * n + 1, (A,)), zero) for n in rng),
-        b_coeffs=tuple(graded.get((2 * n + 1, (B,)), zero) for n in rng),
-        odd_only=odd_only,
+        a_coeffs=_graded_sequence(graded, (A,), max_n),
+        b_coeffs=_graded_sequence(graded, (B,), max_n),
+        odd_only=all(length % 2 for length, _ in graded),
     )
 
 
@@ -402,5 +372,5 @@ def estimate_radius(num_coeffs: int) -> float:
     """
     if num_coeffs < 10:
         raise ValueError(f"need at least 10 coefficients, got {num_coeffs}")
-    coeffs = scale_series_coeffs(num_coeffs)
-    return math.sqrt(coeffs[-2] / coeffs[-1])
+    n = num_coeffs - 2
+    return math.sqrt(scale_series_coeff(n) / scale_series_coeff(n + 1))

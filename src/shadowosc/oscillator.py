@@ -197,6 +197,18 @@ def trajectory(s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int) -> lis
 # ---------------------------------------------------------------------------
 
 
+def _inside_radius(x: Scalar) -> float:
+    """float(x); NaN raises ValueError and |x| >= 2 SeriesDivergesError."""
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("generator scale is undefined at x = nan")
+    if abs(x) >= 2.0:
+        raise SeriesDivergesError(
+            f"generator scale series diverges for |x| >= 2 (got x = {x})"
+        )
+    return x
+
+
 def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     """Sum the even series sum_n (n!)^2/(2n+1)! x^(2n) by partial sums.
 
@@ -208,13 +220,7 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("generator scale series is undefined at x = nan")
-    if abs(x) >= 2.0:
-        raise SeriesDivergesError(
-            f"generator scale series diverges for |x| >= 2 (got x = {x})"
-        )
+    x = _inside_radius(x)
     x_sq = x * x
     term = 1.0
     total = 0.0
@@ -234,13 +240,7 @@ def generator_scale_closed_form(x: Scalar) -> float:
     leans on it (see the acceptance suite).  NaN raises ValueError and
     |x| >= 2, infinities included, raises SeriesDivergesError.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("generator scale is undefined at x = nan")
-    if abs(x) >= 2.0:
-        raise SeriesDivergesError(
-            f"generator scale has no finite value for |x| >= 2 (got x = {x})"
-        )
+    x = _inside_radius(x)
     if x == 0.0:
         return 1.0
     return 2.0 * math.asin(x / 2.0) / (x * math.sqrt(1.0 - x * x / 4.0))
@@ -262,43 +262,52 @@ def effective_generator(scheme: SchemeId, x: Scalar, rel_tol: float = 1e-12) -> 
     return generator_scale(x, rel_tol) * generator_direction(scheme, x)
 
 
+def _traceless(m: Mat2) -> tuple[float, Mat2, float]:
+    """(trace/2, N, delta) in floats, with m = (trace/2) I + N and
+    N^2 = delta I."""
+    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
+    half_trace = (a + d) / 2.0
+    na = a - half_trace
+    return half_trace, Mat2(na, b, c, -na), na * na + b * c
+
+
 def matrix_log_principal(m: Mat2, det_tol: float = 1e-9) -> Mat2:
     """Principal real logarithm of an elliptic unit-determinant 2x2 map.
 
-    For |trace| < 2 the eigenvalues are exp(+-i theta) with
-    theta = arccos(trace/2), and the unique real log with eigenvalues
-    +-i theta is (theta/sin theta)(m - (trace/2) I).  Serves as the
-    independent cross-check of the effective generator: it never touches
-    the series.
+    With m = (trace/2) I + N and N^2 = delta I, the eigenvalues are
+    exp(+-i theta) with cos theta = trace/2 and sin^2 theta = -delta =
+    1 - (trace/2)^2, and the unique real log with eigenvalues +-i theta
+    is (theta/sin theta) N.  theta = atan2(sin theta, trace/2) stays
+    accurate at both ends, where arccos(trace/2) does not: sin theta is
+    formed from delta, N's entries, when trace/2 > 0 (for tiny steps
+    trace/2 rounds to 1), and from 1 - (trace/2)^2 otherwise (near -I,
+    N's entries cancel in delta).  Serves as the independent cross-check
+    of the effective generator: it never touches the series.
     """
     det = float(m.det())
     if abs(det - 1.0) > det_tol:
         raise ValueError(f"matrix_log_principal needs det 1, got {det}")
-    half_trace = float(m.trace()) / 2.0
-    if abs(half_trace) >= 1.0:
+    half_trace, traceless, delta = _traceless(m)
+    if half_trace > 0.0:
+        sin_sq = -delta
+    else:
+        sin_sq = (1.0 - half_trace) * (1.0 + half_trace)
+    if sin_sq <= 0.0:
         raise NoEllipticLogError(
             f"no elliptic logarithm: |trace| = {2 * abs(half_trace)} >= 2"
         )
-    theta = math.acos(half_trace)
-    factor = theta / math.sin(theta)
-    shifted = Mat2(
-        float(m.a) - half_trace, float(m.b), float(m.c), float(m.d) - half_trace
-    )
-    return factor * shifted
+    sin_theta = math.sqrt(sin_sq)
+    return (math.atan2(sin_theta, half_trace) / sin_theta) * traceless
 
 
 def mat_exp(m: Mat2) -> Mat2:
     """Closed-form exponential of a real 2x2 matrix (float result).
 
-    Split off the trace; the traceless part N satisfies N^2 = delta I, so
-    exp(N) is cosh/sinh or cos/sin in sqrt(|delta|).  Used as the second
-    route of the generator cross-checks.
+    Split off the trace with _traceless; N^2 = delta I, so exp(N) is
+    cosh/sinh or cos/sin in sqrt(|delta|).  Used as the second route of
+    the generator cross-checks.
     """
-    half_trace = (float(m.a) + float(m.d)) / 2.0
-    na = float(m.a) - half_trace
-    nb = float(m.b)
-    nc = float(m.c)
-    delta = na * na + nb * nc
+    half_trace, traceless, delta = _traceless(m)
     if delta > 0:
         root = math.sqrt(delta)
         cos_like = math.cosh(root)
@@ -312,10 +321,10 @@ def mat_exp(m: Mat2) -> Mat2:
         sin_ratio = 1.0
     scale = math.exp(half_trace)
     return Mat2(
-        scale * (cos_like + sin_ratio * na),
-        scale * sin_ratio * nb,
-        scale * sin_ratio * nc,
-        scale * (cos_like - sin_ratio * na),
+        scale * (cos_like + sin_ratio * traceless.a),
+        scale * sin_ratio * traceless.b,
+        scale * sin_ratio * traceless.c,
+        scale * (cos_like + sin_ratio * traceless.d),
     )
 
 

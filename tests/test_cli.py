@@ -71,12 +71,13 @@ def test_verify_default_sweep(capsys):
 
 
 def test_verify_single_x(capsys):
-    code, out = run_cli(capsys, "verify", "--x", "1")
-    rows = parse_csv(out)
-    assert code == 0
-    names = [row[0] for row in rows[1:]]
-    assert "log_vs_generator_first" in names
-    assert "divergence_signaled" not in names
+    for x in ("1", "1e-9"):  # at 1e-9, trace/2 rounds to 1.0 in floats
+        code, out = run_cli(capsys, "verify", "--x", x)
+        rows = parse_csv(out)
+        assert code == 0
+        names = [row[0] for row in rows[1:]]
+        assert "log_vs_generator_first" in names
+        assert "divergence_signaled" not in names
 
 
 def test_verify_detects_broken_identity(capsys, monkeypatch):
@@ -206,6 +207,9 @@ def test_usage_errors_exit_two():
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         cli.main(["sweep", "--x-range", "3:0:0.1"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--x-range", "0:3:1e-9"])  # 3e9 samples: refused unbuilt
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         cli.main(["simulate", "--steps", "-4"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from shadowosc import goldberg
-from shadowosc.free_series import FreeSeries, series_mul
+from shadowosc.free_series import FreeSeries, log_exp_product, series_mul
 from shadowosc.goldberg import (
     A,
     B,
@@ -22,7 +22,6 @@ from shadowosc.goldberg import (
     goldberg_coeff_two,
     nonalternating_support,
     scale_series_coeff,
-    scale_series_coeffs,
     three_letter_oracle,
     two_letter_oracle,
     verify_three_letter,
@@ -31,9 +30,11 @@ from shadowosc.goldberg import (
 
 
 def test_scale_series_coeffs_match_formula():
-    coeffs = scale_series_coeffs(8)
-    assert coeffs == [scale_series_coeff(n) for n in range(8)]
-    assert coeffs[:3] == [1, Fraction(1, 6), Fraction(1, 30)]
+    assert [scale_series_coeff(n) for n in range(5)] == [
+        1, Fraction(1, 6), Fraction(1, 30), Fraction(1, 140), Fraction(1, 630)
+    ]
+    with pytest.raises(ValueError):
+        scale_series_coeff(-1)
 
 
 # -- closed forms -----------------------------------------------------------
@@ -189,11 +190,11 @@ def test_collapse_two_letter_reproduces_scale_series():
 
 
 def test_collapse_strang_even_and_odd_series():
-    result = collapse_strang(3)
+    result = collapse_strang(5)
     assert result.odd_only
-    assert result.a_coeffs == tuple(scale_series_coeff(n) for n in range(4))
+    assert result.a_coeffs == tuple(scale_series_coeff(n) for n in range(6))
     assert result.b_coeffs[0] == 1
-    for n in range(1, 4):
+    for n in range(1, 6):
         direct = Fraction(
             -math.factorial(n - 1) * math.factorial(n), 2 * math.factorial(2 * n + 1)
         )
@@ -210,8 +211,20 @@ def test_commutator_closure_under_collapse():
         return series_mul(left, right) - series_mul(right, left)
 
     inner = bracket(letter(A), letter(B))
-    assert collapse_series(bracket(letter(A), inner)) == {(A,): Fraction(2)}
-    assert collapse_series(bracket(letter(B), inner)) == {(B,): Fraction(-2)}
+    assert collapse_series(bracket(letter(A), inner)) == {(3, (A,)): Fraction(2)}
+    assert collapse_series(bracket(letter(B), inner)) == {(3, (B,)): Fraction(-2)}
+
+
+def test_strang_oracle_is_substituted_three_letter_oracle():
+    # X1 = X3 -> B/2 and X2 -> A, the substitution collapse_strang relies on.
+    substituted = {}
+    for word, coeff in three_letter_oracle(7).coeffs.items():
+        image = tuple(A if letter == X2 else B for letter in word)
+        halves = sum(1 for letter in word if letter != X2)
+        substituted[image] = substituted.get(image, 0) + coeff / 2**halves
+    half = Fraction(1, 2)
+    weighted = log_exp_product(((B, half), (A, 1), (B, half)), 7)
+    assert FreeSeries(7, substituted) == weighted
 
 
 def test_collapse_rejects_negative_order():
@@ -231,8 +244,7 @@ def test_estimate_radius_converges_to_two():
 
 
 def test_estimate_radius_matches_ratio_formula():
-    coeffs = scale_series_coeffs(3)
-    assert coeffs[1] / coeffs[2] == 5  # (1/6) / (1/30)
+    assert scale_series_coeff(1) / scale_series_coeff(2) == 5  # (1/6) / (1/30)
     n = 8  # estimate_radius(10) uses the ratio at n = 8
     expected = math.sqrt((2 * n + 2) * (2 * n + 3) / (n + 1) ** 2)
     assert estimate_radius(10) == pytest.approx(expected, rel=1e-15)
