@@ -1,6 +1,8 @@
 """Exact shadow energies and effective generators for split-step
 integrators of the 1-D harmonic oscillator."""
 
+import types
+
 from .free_series import FreeSeries, log_exp_product, series_exp, series_log, series_mul
 from .goldberg import (
     AlternatingWord,
@@ -46,45 +48,7 @@ from .oscillator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlternatingWord",
-    "CoeffReport",
-    "FreeSeries",
-    "Mat2",
-    "NoEllipticLogError",
-    "PhaseState",
-    "SchemeId",
-    "SeriesDivergesError",
-    "ShadowForm",
-    "StabilityClass",
-    "StrangCollapse",
-    "ThreeWordPattern",
-    "TwoLetterCollapse",
-    "check_generator_relations",
-    "collapse_strang",
-    "collapse_two_letter",
-    "collapse_word",
-    "effective_generator",
-    "estimate_radius",
-    "generator_direction",
-    "generator_scale",
-    "generator_scale_closed_form",
-    "goldberg_coeff_three",
-    "goldberg_coeff_two",
-    "log_exp_product",
-    "map_matrix",
-    "mat_exp",
-    "matrix_log_principal",
-    "scale_series_coeff",
-    "series_exp",
-    "series_log",
-    "series_mul",
-    "shadow_energy",
-    "shadow_form",
-    "spectral_radius",
-    "stability_classify",
-    "step_first_order",
-    "step_second_order",
-    "trajectory",
-    "verify_three_letter",
-    "verify_two_letter",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

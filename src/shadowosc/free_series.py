@@ -114,9 +114,6 @@ class FreeSeries:
     def __sub__(self, other: "FreeSeries") -> "FreeSeries":
         return self + other.scaled(-1)
 
-    def __neg__(self) -> "FreeSeries":
-        return self.scaled(-1)
-
     def scaled(self, factor) -> "FreeSeries":
         factor = Fraction(factor)
         if not factor:
@@ -124,14 +121,6 @@ class FreeSeries:
         return FreeSeries(
             self.max_degree, {w: v * factor for w, v in self.coeffs.items()}
         )
-
-    def __mul__(self, other):
-        if not isinstance(other, FreeSeries):
-            return self.scaled(other)
-        return series_mul(self, other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
 
 
 def series_mul(a: FreeSeries, b: FreeSeries) -> FreeSeries:

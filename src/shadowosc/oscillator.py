@@ -41,16 +41,14 @@ class PhaseState(NamedTuple):
     q: Scalar
 
 
+@dataclass(slots=True)
 class Mat2:
     """2x2 matrix [[a, b], [c, d]] acting on column vectors (p, q)."""
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+    a: Scalar
+    b: Scalar
+    c: Scalar
+    d: Scalar
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -59,21 +57,6 @@ class Mat2:
     @classmethod
     def zero(cls) -> "Mat2":
         return cls(0, 0, 0, 0)
-
-    def __repr__(self):
-        return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    __hash__ = None
 
     def __add__(self, other):
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
@@ -216,10 +199,11 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     running total.  For |x| >= 2 the series diverges and this raises
     SeriesDivergesError rather than summing: past that step size there is
     no continuous motion for the discrete map to shadow.  NaN raises
-    ValueError before any term is summed.
+    ValueError before any term is summed, and so does a rel_tol that is
+    not positive and finite.
     """
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     x = _inside_radius(x)
     x_sq = x * x
     term = 1.0
@@ -271,7 +255,7 @@ def _traceless(m: Mat2) -> tuple[float, Mat2, float]:
     return half_trace, Mat2(na, b, c, -na), na * na + b * c
 
 
-def matrix_log_principal(m: Mat2, det_tol: float = 1e-9) -> Mat2:
+def matrix_log_principal(m: Mat2) -> Mat2:
     """Principal real logarithm of an elliptic unit-determinant 2x2 map.
 
     With m = (trace/2) I + N and N^2 = delta I, the eigenvalues are
@@ -281,22 +265,28 @@ def matrix_log_principal(m: Mat2, det_tol: float = 1e-9) -> Mat2:
     accurate at both ends, where arccos(trace/2) does not: sin theta is
     formed from delta, N's entries, when trace/2 > 0 (for tiny steps
     trace/2 rounds to 1), and from 1 - (trace/2)^2 otherwise (near -I,
-    N's entries cancel in delta).  Serves as the independent cross-check
-    of the effective generator: it never touches the series.
+    N's entries cancel in delta).  The determinant must be 1 within 1e-9.
+    Serves as the independent cross-check of the effective generator: it
+    never touches the series.
     """
     det = float(m.det())
-    if abs(det - 1.0) > det_tol:
+    if abs(det - 1.0) > 1e-9:
         raise ValueError(f"matrix_log_principal needs det 1, got {det}")
-    half_trace, traceless, delta = _traceless(m)
+    half_trace, traceless, _ = _traceless(m)
+    # Below steps of about 1e-162, b*c underflows: form delta from N scaled
+    # up by 2^shift, which is exact, and scale sin theta back.
+    shift = 0
     if half_trace > 0.0:
-        sin_sq = -delta
+        shift = max(0, -math.frexp(max(map(abs, traceless.entries())))[1])
+        na, b, c, _ = (math.ldexp(v, shift) for v in traceless.entries())
+        sin_sq = -(na * na + b * c)
     else:
         sin_sq = (1.0 - half_trace) * (1.0 + half_trace)
     if sin_sq <= 0.0:
         raise NoEllipticLogError(
             f"no elliptic logarithm: |trace| = {2 * abs(half_trace)} >= 2"
         )
-    sin_theta = math.sqrt(sin_sq)
+    sin_theta = math.ldexp(math.sqrt(sin_sq), -shift)
     return (math.atan2(sin_theta, half_trace) / sin_theta) * traceless
 
 

@@ -71,7 +71,8 @@ def test_verify_default_sweep(capsys):
 
 
 def test_verify_single_x(capsys):
-    for x in ("1", "1e-9"):  # at 1e-9, trace/2 rounds to 1.0 in floats
+    # At 1e-9, trace/2 rounds to 1.0 in floats; at 1e-200, x^2 underflows.
+    for x in ("1", "1e-9", "1e-200"):
         code, out = run_cli(capsys, "verify", "--x", x)
         rows = parse_csv(out)
         assert code == 0
@@ -210,6 +211,13 @@ def test_usage_errors_exit_two():
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--x-range", "0:3:1e-9"])  # 3e9 samples: refused unbuilt
+    assert info.value.code == 2
+    for tol in ("nan", "inf"):  # a nan gate never ends the scale series
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--tol", tol])
+        assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", "--tol", "1e-12"])  # sweep has no gate to tune
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         cli.main(["simulate", "--steps", "-4"])

@@ -66,6 +66,8 @@ def test_mat2_arithmetic():
     assert 2 * m == Mat2(2, 4, 6, 8)
     assert m - m == Mat2.zero()
     assert m.apply(PhaseState(1, 1)) == PhaseState(3, 7)
+    with pytest.raises(TypeError):
+        hash(m)
 
 
 # -- step maps ---------------------------------------------------------------
@@ -174,8 +176,9 @@ def test_generator_scale_closed_form_rejects_nan():
 
 
 def test_generator_scale_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        generator_scale(1.0, 0.0)
+    for rel_tol in (0.0, math.nan, math.inf):  # a nan tolerance never ends the sum
+        with pytest.raises(ValueError):
+            generator_scale(1.0, rel_tol)
 
 
 def test_closed_form_matches_partial_sums():
@@ -231,7 +234,8 @@ def test_matrix_log_inverts_exp():
 
 def test_matrix_log_matches_scaled_direction():
     # 1e-9 and 1e-8: trace/2 rounds to 1.0 in floats, the log must not.
-    for x in [k / 10 for k in range(1, 20, 2)] + [1e-9, 1e-8]:
+    # 1e-200 and 5e-324: b*c underflows to 0 in floats.
+    for x in [k / 10 for k in range(1, 20, 2)] + [1e-9, 1e-8, 1e-200, 5e-324]:
         scale = generator_scale(x, 1e-14)
         for scheme in (FIRST, SECOND):
             log = matrix_log_principal(map_matrix(scheme, x))
