@@ -36,6 +36,8 @@ from .oscillator import (
     map_matrix,
     mat_exp,
     matrix_log_principal,
+    scaled_matrix,
+    scaled_orbit,
     shadow_energy,
     shadow_form,
     spectral_radius,

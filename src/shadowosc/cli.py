@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 from . import goldberg
@@ -24,12 +24,15 @@ from .oscillator import (
     PhaseState,
     SchemeId,
     SeriesDivergesError,
+    ShadowForm,
     check_generator_relations,
     generator_direction,
     generator_scale,
     map_matrix,
     matrix_log_principal,
     rotation_angle,
+    scaled_matrix,
+    scaled_orbit,
     shadow_energy,
     shadow_form,
     spectral_radius,
@@ -87,13 +90,50 @@ def _x_samples(args) -> list[Fraction]:
     return [start + i * step for i in range(count)]
 
 
+_LOG10_2 = math.log10(2)
+_TEN16, _TEN17, _TEN18 = 10**16, 10**17, 10**18
+
+
+def _format_ratio(n: int, d: int) -> str:
+    """n/d (d > 0) as str(Decimal(n) / Decimal(d)) at precision 17 with
+    ROUND_HALF_EVEN, by one integer division; depends only on the value
+    n/d, so the pair need not be reduced."""
+    if n == 0:
+        return "0"
+    sign, n = int(n < 0), abs(n)
+    # The bit lengths put log10(n/d) in an interval of width 2 log10(2) < 1,
+    # so this k gives 17 or 18 digits; the loop only guards the float estimate.
+    k = 17 - math.floor((n.bit_length() - d.bit_length() + 1) * _LOG10_2)
+    while True:
+        num, den = (n * 10**k, d) if k >= 0 else (n, d * 10**-k)
+        digits, rem = divmod(num, den)
+        if digits < _TEN16:
+            k += 1
+        elif digits >= _TEN18:
+            k -= 1
+        else:
+            break
+    exp = -k
+    if digits >= _TEN17:  # an 18th digit joins the remainder
+        digits, last = divmod(digits, 10)
+        rem, den, exp = rem + last * den, den * 10, exp + 1
+    if rem:
+        twice = 2 * rem
+        if twice > den or (twice == den and digits & 1):
+            digits += 1
+            if digits == _TEN17:
+                digits, exp = _TEN16, exp + 1
+    else:  # exact: Decimal strips trailing zeros down to exponent 0
+        while exp < 0 and digits % 10 == 0:
+            digits, exp = digits // 10, exp + 1
+    return str(Decimal((sign, tuple(map(int, str(digits))), exp)))
+
+
 def _format_value(value) -> str:
     """Exact values as decimal strings with 17 significant digits,
     floats as their shortest round-trip repr."""
     if isinstance(value, Fraction):
-        with localcontext() as ctx:
-            ctx.prec = 17
-            return str(Decimal(value.numerator) / Decimal(value.denominator))
+        return _format_ratio(value.numerator, value.denominator)
     return repr(float(value))
 
 
@@ -102,11 +142,18 @@ def _format_value(value) -> str:
 _SERIES_TOL = 1e-14
 
 
-def _start(args) -> tuple[Fraction | float, PhaseState]:
-    """Time step and initial state: exact with --exact, floats otherwise."""
-    if args.exact:
-        return args.x, PhaseState(args.p0, args.q0)
+def _float_start(args) -> tuple[float, PhaseState]:
     return float(args.x), PhaseState(float(args.p0), float(args.q0))
+
+
+def _exact_orbit(args, scheme: SchemeId):
+    """The exact orbit, streamed as (PhaseState(P, Q), E, N, D): the state
+    is (P/E, Q/E) and its shadow energy N/D, all integers."""
+    form, form_scale = scaled_matrix(shadow_form(scheme, args.x).m)
+    energy = ShadowForm(form).energy
+    s0 = PhaseState(args.p0, args.q0)
+    for state, scale in scaled_orbit(s0, scheme, args.x, args.steps):
+        yield state, scale, energy(state), form_scale * scale * scale
 
 
 def _sign_matches(value, x) -> bool:
@@ -199,17 +246,28 @@ def cmd_verify(args) -> tuple[list[list[str]], int]:
 
 def cmd_simulate(args) -> tuple[list[list[str]], int]:
     scheme = _SCHEMES[args.scheme]
-    x, s0 = _start(args)
-    states = trajectory(s0, scheme, x, args.steps)
     rows = [["step", "p", "q", "shadow_energy", "p2_plus_q2"]]
-    for step, state in enumerate(states):
-        energy = shadow_energy(state, scheme, x)
+    if args.exact:
+        for step, (state, scale, energy, energy_scale) in enumerate(_exact_orbit(args, scheme)):
+            p, q = state
+            rows.append(
+                [
+                    str(step),
+                    _format_ratio(p, scale),
+                    _format_ratio(q, scale),
+                    _format_ratio(energy, energy_scale),
+                    _format_ratio(p * p + q * q, scale * scale),
+                ]
+            )
+        return rows, 0
+    x, s0 = _float_start(args)
+    for step, state in enumerate(trajectory(s0, scheme, x, args.steps)):
         rows.append(
             [
                 str(step),
                 _format_value(state.p),
                 _format_value(state.q),
-                _format_value(energy),
+                _format_value(shadow_energy(state, scheme, x)),
                 _format_value(state.p * state.p + state.q * state.q),
             ]
         )
@@ -217,10 +275,22 @@ def cmd_simulate(args) -> tuple[list[list[str]], int]:
 
 
 def cmd_shadow(args) -> tuple[list[list[str]], int]:
-    x, s0 = _start(args)
+    schemes = (SchemeId.FIRST_ORDER, SchemeId.SECOND_ORDER)
     rows = [["step", "first_energy", "first_drift", "second_energy", "second_drift"]]
+    if args.exact:
+        orbits = zip(*(_exact_orbit(args, scheme) for scheme in schemes))
+        for step, points in enumerate(orbits):
+            if step == 0:
+                initial = [(energy, scale) for _, _, energy, scale in points]
+            row = [str(step)]
+            for (_, _, energy, scale), (energy0, scale0) in zip(points, initial):
+                row.append(_format_ratio(energy, scale))
+                row.append(_format_ratio(energy * scale0 - energy0 * scale, scale * scale0))
+            rows.append(row)
+        return rows, 0
+    x, s0 = _float_start(args)
     columns = []
-    for scheme in (SchemeId.FIRST_ORDER, SchemeId.SECOND_ORDER):
+    for scheme in schemes:
         states = trajectory(s0, scheme, x, args.steps)
         energies = [shadow_energy(state, scheme, x) for state in states]
         columns.append(energies)

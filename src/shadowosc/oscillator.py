@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -175,6 +175,44 @@ def trajectory(s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int) -> lis
     return states
 
 
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    fractions = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in fractions))
+    return [v.numerator * (scale // v.denominator) for v in fractions], scale
+
+
+def scaled_matrix(m: Mat2) -> tuple[Mat2, int]:
+    """(K, D) with m = K / D for a matrix of rationals: K has integer
+    entries and D is the lcm of the entries' denominators."""
+    entries, scale = _common_denominator(m.entries())
+    return Mat2(*entries), scale
+
+
+def scaled_orbit(
+    s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int
+) -> Iterator[tuple[PhaseState, int]]:
+    """The exact orbit of trajectory() as integers over one denominator,
+    streamed: yields n_steps + 1 pairs (PhaseState(P, Q), E), the state
+    being (P/E, Q/E).
+
+    With (K, D) = scaled_matrix(map_matrix(scheme, x)) one step is
+    (P, Q), E -> K (P, Q), D E, so no gcd is taken; the pairs are not
+    reduced (D is b^2 for the first scheme and 4 b^3 for the second at
+    x = a/b, at most).  x, p0 and q0 must be rational.
+    """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    step, scale = scaled_matrix(map_matrix(scheme, x))
+    start, denominator = _common_denominator(s0)
+    state = PhaseState(*start)
+    yield state, denominator
+    for _ in range(n_steps):
+        state = step.apply(state)
+        denominator *= scale
+        yield state, denominator
+
+
 # ---------------------------------------------------------------------------
 # Effective generator
 # ---------------------------------------------------------------------------
@@ -265,12 +303,13 @@ def matrix_log_principal(m: Mat2) -> Mat2:
     accurate at both ends, where arccos(trace/2) does not: sin theta is
     formed from delta, N's entries, when trace/2 > 0 (for tiny steps
     trace/2 rounds to 1), and from 1 - (trace/2)^2 otherwise (near -I,
-    N's entries cancel in delta).  The determinant must be 1 within 1e-9.
+    N's entries cancel in delta).  The determinant must be 1 within 1e-9;
+    a NaN determinant (NaN or infinite entries) raises ValueError too.
     Serves as the independent cross-check of the effective generator: it
     never touches the series.
     """
     det = float(m.det())
-    if abs(det - 1.0) > 1e-9:
+    if not abs(det - 1.0) <= 1e-9:  # a NaN det fails too
         raise ValueError(f"matrix_log_principal needs det 1, got {det}")
     half_trace, traceless, _ = _traceless(m)
     # Below steps of about 1e-162, b*c underflows: form delta from N scaled
@@ -363,13 +402,21 @@ def shadow_energy(s: PhaseState, scheme: SchemeId, x: Scalar):
 # ---------------------------------------------------------------------------
 
 
+def _map_trace(scheme: SchemeId, x: Scalar):
+    """Trace of the one-step map; a NaN trace (x = nan) raises ValueError."""
+    trace = map_matrix(scheme, x).trace()
+    if trace != trace:  # only NaN differs from itself; no float conversion
+        raise ValueError(f"the one-step map is undefined at x = {x}")
+    return trace
+
+
 def stability_classify(scheme: SchemeId, x: Scalar) -> StabilityClass:
     """Classify the one-step map by |trace| against 2.
 
     Both schemes share trace 2 - x^2.  Exact comparisons, so rational
-    input at the boundary classifies exactly.
+    input at the boundary classifies exactly.  NaN raises ValueError.
     """
-    trace = map_matrix(scheme, x).trace()
+    trace = _map_trace(scheme, x)
     if abs(trace) < 2:
         return StabilityClass.ELLIPTIC
     if abs(trace) == 2:
@@ -378,16 +425,18 @@ def stability_classify(scheme: SchemeId, x: Scalar) -> StabilityClass:
 
 
 def spectral_radius(scheme: SchemeId, x: Scalar) -> float:
-    """Largest eigenvalue magnitude of the one-step map."""
-    trace = abs(float(map_matrix(scheme, x).trace()))
+    """Largest eigenvalue magnitude of the one-step map.  NaN raises
+    ValueError."""
+    trace = abs(float(_map_trace(scheme, x)))
     if trace <= 2.0:
         return 1.0
     return (trace + math.sqrt(trace * trace - 4.0)) / 2.0
 
 
 def rotation_angle(scheme: SchemeId, x: Scalar) -> float:
-    """arccos(trace/2); the per-step phase advance in the elliptic regime."""
-    trace = float(map_matrix(scheme, x).trace())
+    """arccos(trace/2); the per-step phase advance in the elliptic regime.
+    NaN raises ValueError."""
+    trace = float(_map_trace(scheme, x))
     if abs(trace) > 2.0:
         raise NoEllipticLogError(f"|trace| = {abs(trace)} > 2: no rotation angle")
     return math.acos(trace / 2.0)

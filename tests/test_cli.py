@@ -1,6 +1,9 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowosc import cli, goldberg
 
@@ -135,6 +138,52 @@ def test_shadow_reports_zero_drift(capsys):
         "second_drift",
     ]
     assert all(row[2] == "0" and row[4] == "0" for row in rows[1:])
+
+
+def decimal_reference(n, d):
+    """The formatter the exact CSV columns had before: Decimal division."""
+    with localcontext() as ctx:
+        ctx.prec = 17
+        return str(Decimal(n) / Decimal(d))
+
+
+@pytest.mark.parametrize(
+    "n, d, text",
+    [
+        (0, 1, "0"),
+        (0, 7, "0"),
+        (-1, 4, "-0.25"),
+        (1, 4, "0.25"),
+        (10**20, 1, "1.0000000000000000E+20"),
+        (10**17 - 1, 1, "99999999999999999"),
+        (999999999999999995, 10, "1.0000000000000000E+17"),  # rounding carries
+        (123456789012345678901, 1, "1.2345678901234568E+20"),  # 21 exact digits
+        (5, 10**30, "5E-30"),
+        (1, 3, "0.33333333333333333"),
+        (-7, 3, "-2.3333333333333333"),
+        (12345678901234565, 10**17, "0.12345678901234565"),
+        (123456789012345665, 10**18, "0.12345678901234566"),  # tie to even
+        (123456789012345675, 10**18, "0.12345678901234568"),
+    ],
+)
+def test_format_ratio_matches_decimal_division(n, d, text):
+    assert decimal_reference(n, d) == text
+    assert cli._format_ratio(n, d) == text
+    assert cli._format_value(Fraction(n, d)) == text
+    for factor in (3, 10, 2**70):  # unreduced pairs print the value
+        assert cli._format_ratio(n * factor, d * factor) == text
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.integers(min_value=-(10**60), max_value=10**60),
+    d=st.integers(min_value=1, max_value=10**60),
+    factor=st.integers(min_value=1, max_value=10**6),
+)
+def test_format_ratio_matches_decimal_division_property(n, d, factor):
+    value = Fraction(n, d)
+    reference = decimal_reference(value.numerator, value.denominator)
+    assert cli._format_ratio(n * factor, d * factor) == reference
 
 
 def test_sweep_default_range(capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowosc.oscillator import (
     A,
@@ -24,6 +26,8 @@ from shadowosc.oscillator import (
     mat_exp,
     matrix_log_principal,
     rotation_angle,
+    scaled_matrix,
+    scaled_orbit,
     shadow_energy,
     shadow_form,
     spectral_radius,
@@ -259,6 +263,25 @@ def test_matrix_log_rejects_nonelliptic():
         matrix_log_principal(Mat2(2.0, 0.0, 0.0, 1.0))  # det 2
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: matrix_log_principal(Mat2(math.nan, 0.0, 0.0, 1.0)),
+        lambda: matrix_log_principal(Mat2(1.0, math.inf, 0.0, 1.0)),  # det inf*0 = nan
+        lambda: spectral_radius(FIRST, math.nan),
+        lambda: rotation_angle(FIRST, math.nan),
+        lambda: stability_classify(FIRST, math.nan),
+        lambda: stability_classify(SECOND, math.nan),
+    ],
+    ids=["log_nan", "log_inf", "spectral_radius", "rotation_angle",
+         "stability_first", "stability_second"],
+)
+def test_float_entry_points_reject_nan(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, NoEllipticLogError)
+
+
 def test_mat_exp_hyperbolic_and_nilpotent_branches():
     assert mat_exp(Mat2(0.0, 0.0, 1.0, 0.0)).max_abs_diff(Mat2(1, 0, 1, 1)) < 1e-15
     g = Mat2(1.0, 0.0, 0.0, -1.0)
@@ -408,6 +431,58 @@ def test_exact_shadow_conservation_long_runs():
             states = trajectory(s0, scheme, x, 400)
             e0 = shadow_energy(s0, scheme, x)
             assert all(shadow_energy(s, scheme, x) == e0 for s in states)
+
+
+def test_scaled_matrix_is_integer_over_lcm():
+    k, scale = scaled_matrix(map_matrix(SECOND, Fraction(1, 3)))
+    assert scale == 4 * 27
+    assert all(isinstance(v, int) for v in k.entries())
+    assert Mat2(*(Fraction(v, scale) for v in k.entries())) == map_matrix(SECOND, Fraction(1, 3))
+    assert scaled_matrix(map_matrix(FIRST, Fraction(5, 2))) == (Mat2(4, -10, 10, -21), 4)
+
+
+@pytest.mark.parametrize("scheme", [FIRST, SECOND])
+@pytest.mark.parametrize(
+    "x", [Fraction(5, 2), Fraction(1, 3), Fraction(-7, 11), Fraction(0), Fraction(2)]
+)
+def test_scaled_orbit_equals_trajectory(scheme, x):
+    s0 = PhaseState(Fraction(-3, 5), Fraction(2, 7))
+    states = trajectory(s0, scheme, x, 50)
+    orbit = list(scaled_orbit(s0, scheme, x, 50))
+    assert len(orbit) == len(states)
+    form, form_scale = scaled_matrix(shadow_form(scheme, x).m)
+    for (state, scale), reference in zip(orbit, states):
+        assert (Fraction(state.p, scale), Fraction(state.q, scale)) == reference
+        energy = Fraction(ShadowForm(form).energy(state), form_scale * scale * scale)
+        assert energy == shadow_energy(reference, scheme, x)
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(list(SchemeId)),
+    x=small_rationals,
+    p0=small_rationals,
+    q0=small_rationals,
+)
+def test_scaled_orbit_conserves_energy_exactly(scheme, x, p0, q0):
+    form, form_scale = scaled_matrix(shadow_form(scheme, x).m)
+    energies = {
+        Fraction(ShadowForm(form).energy(state), form_scale * scale * scale)
+        for state, scale in scaled_orbit(PhaseState(p0, q0), scheme, x, 40)
+    }
+    assert len(energies) == 1
+
+
+def test_scaled_orbit_streams_and_checks_steps():
+    # A generator: only the states drawn are computed, so 10^18 steps cost nothing.
+    orbit = scaled_orbit(PhaseState(1, 0), FIRST, Fraction(1), 10**18)
+    assert next(orbit) == (PhaseState(1, 0), 1)
+    assert next(orbit) == (PhaseState(1, 1), 1)
+    with pytest.raises(ValueError):
+        next(scaled_orbit(PhaseState(1, 0), FIRST, 1, -1))
 
 
 def test_parabolic_edge_grows_quadratically():
