@@ -36,6 +36,7 @@ from .oscillator import (
     map_matrix,
     mat_exp,
     matrix_log_principal,
+    orbit,
     scaled_matrix,
     scaled_orbit,
     shadow_energy,

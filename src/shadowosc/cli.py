@@ -16,11 +16,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 from . import goldberg
 from .oscillator import (
+    Mat2,
     PhaseState,
     SchemeId,
     SeriesDivergesError,
@@ -30,14 +33,13 @@ from .oscillator import (
     generator_scale,
     map_matrix,
     matrix_log_principal,
+    orbit,
     rotation_angle,
     scaled_matrix,
     scaled_orbit,
-    shadow_energy,
     shadow_form,
     spectral_radius,
     stability_classify,
-    trajectory,
 )
 
 _SCHEMES = {"first": SchemeId.FIRST_ORDER, "second": SchemeId.SECOND_ORDER}
@@ -129,31 +131,38 @@ def _format_ratio(n: int, d: int) -> str:
     return str(Decimal((sign, tuple(map(int, str(digits))), exp)))
 
 
-def _format_value(value) -> str:
-    """Exact values as decimal strings with 17 significant digits,
-    floats as their shortest round-trip repr."""
-    if isinstance(value, Fraction):
-        return _format_ratio(value.numerator, value.denominator)
-    return repr(float(value))
-
-
 # Scale-series tolerance; verify also keeps it 100x below its gate, so
 # series truncation never decides a comparison.
 _SERIES_TOL = 1e-14
 
 
-def _float_start(args) -> tuple[float, PhaseState]:
-    return float(args.x), PhaseState(float(args.p0), float(args.q0))
+def _float_orbit(args, scheme: SchemeId):
+    """The float orbit, streamed as (state, shadow energy) pairs.  The form
+    is built once, its entries converted to float: Fraction op float is
+    float(Fraction) op float, so each energy has the bits of
+    shadow_energy(state, scheme, x)."""
+    x = float(args.x)
+    energy = ShadowForm(Mat2(*map(float, shadow_form(scheme, x).m.entries()))).energy
+    states = orbit(PhaseState(float(args.p0), float(args.q0)), scheme, x, args.steps)
+    return ((state, energy(state)) for state in states)
 
 
 def _exact_orbit(args, scheme: SchemeId):
-    """The exact orbit, streamed as (PhaseState(P, Q), E, N, D): the state
-    is (P/E, Q/E) and its shadow energy N/D, all integers."""
+    """The exact orbit, streamed as (P, Q, E, R, E^2, (N, M)), all
+    integers: the state is (P/E, Q/E), p^2 + q^2 = R/E^2 and its shadow
+    energy N/M.  Each row takes three big products, P^2, Q^2 and PQ; E^2
+    is carried from step to step."""
     form, form_scale = scaled_matrix(shadow_form(scheme, args.x).m)
-    energy = ShadowForm(form).energy
+    a, cross, d = form.a, form.b + form.c, form.d
+    # scaled_orbit multiplies E by the map's denominator D on each step.
+    step_sq = scaled_matrix(map_matrix(scheme, args.x))[1] ** 2
+    scale_sq = None
     s0 = PhaseState(args.p0, args.q0)
-    for state, scale in scaled_orbit(s0, scheme, args.x, args.steps):
-        yield state, scale, energy(state), form_scale * scale * scale
+    for (p, q), scale in scaled_orbit(s0, scheme, args.x, args.steps):
+        scale_sq = scale * scale if scale_sq is None else scale_sq * step_sq
+        p_sq, q_sq = p * p, q * q
+        energy = a * p_sq + cross * p * q + d * q_sq
+        yield p, q, scale, p_sq + q_sq, scale_sq, (energy, form_scale * scale_sq)
 
 
 def _sign_matches(value, x) -> bool:
@@ -244,63 +253,60 @@ def cmd_verify(args) -> tuple[list[list[str]], int]:
     return rows, 1 if failed else 0
 
 
-def cmd_simulate(args) -> tuple[list[list[str]], int]:
+def cmd_simulate(args) -> tuple[Iterator[list[str]], int]:
     scheme = _SCHEMES[args.scheme]
-    rows = [["step", "p", "q", "shadow_energy", "p2_plus_q2"]]
+    header = ["step", "p", "q", "shadow_energy", "p2_plus_q2"]
     if args.exact:
-        for step, (state, scale, energy, energy_scale) in enumerate(_exact_orbit(args, scheme)):
-            p, q = state
-            rows.append(
-                [
-                    str(step),
-                    _format_ratio(p, scale),
-                    _format_ratio(q, scale),
-                    _format_ratio(energy, energy_scale),
-                    _format_ratio(p * p + q * q, scale * scale),
-                ]
-            )
-        return rows, 0
-    x, s0 = _float_start(args)
-    for step, state in enumerate(trajectory(s0, scheme, x, args.steps)):
-        rows.append(
+        rows = (
             [
                 str(step),
-                _format_value(state.p),
-                _format_value(state.q),
-                _format_value(shadow_energy(state, scheme, x)),
-                _format_value(state.p * state.p + state.q * state.q),
+                _format_ratio(p, scale),
+                _format_ratio(q, scale),
+                _format_ratio(*energy),
+                _format_ratio(norm, scale_sq),
             ]
+            for step, (p, q, scale, norm, scale_sq, energy) in enumerate(
+                _exact_orbit(args, scheme)
+            )
         )
-    return rows, 0
+    else:
+        rows = (
+            [str(step), repr(p), repr(q), repr(energy), repr(p * p + q * q)]
+            for step, ((p, q), energy) in enumerate(_float_orbit(args, scheme))
+        )
+    return chain([header], rows), 0
 
 
-def cmd_shadow(args) -> tuple[list[list[str]], int]:
-    schemes = (SchemeId.FIRST_ORDER, SchemeId.SECOND_ORDER)
-    rows = [["step", "first_energy", "first_drift", "second_energy", "second_drift"]]
-    if args.exact:
-        orbits = zip(*(_exact_orbit(args, scheme) for scheme in schemes))
-        for step, points in enumerate(orbits):
-            if step == 0:
-                initial = [(energy, scale) for _, _, energy, scale in points]
-            row = [str(step)]
-            for (_, _, energy, scale), (energy0, scale0) in zip(points, initial):
-                row.append(_format_ratio(energy, scale))
-                row.append(_format_ratio(energy * scale0 - energy0 * scale, scale * scale0))
-            rows.append(row)
-        return rows, 0
-    x, s0 = _float_start(args)
-    columns = []
-    for scheme in schemes:
-        states = trajectory(s0, scheme, x, args.steps)
-        energies = [shadow_energy(state, scheme, x) for state in states]
-        columns.append(energies)
-    for step in range(args.steps + 1):
+def _exact_cells(energy, energy0) -> tuple[str, str]:
+    (n, d), (n0, d0) = energy, energy0
+    return _format_ratio(n, d), _format_ratio(n * d0 - n0 * d, d * d0)
+
+
+def _float_cells(energy, energy0) -> tuple[str, str]:
+    return repr(energy), repr(energy - energy0)
+
+
+def _drift_rows(orbits, cells):
+    """Per step, each orbit's shadow energy (the last item of its points)
+    and its drift from step 0, as text from cells(energy, energy0)."""
+    for step, points in enumerate(zip(*orbits)):
+        energies = [point[-1] for point in points]
+        if step == 0:
+            initial = energies
         row = [str(step)]
-        for energies in columns:
-            row.append(_format_value(energies[step]))
-            row.append(_format_value(energies[step] - energies[0]))
-        rows.append(row)
-    return rows, 0
+        for energy, energy0 in zip(energies, initial):
+            row += cells(energy, energy0)
+        yield row
+
+
+def cmd_shadow(args) -> tuple[Iterator[list[str]], int]:
+    schemes = (SchemeId.FIRST_ORDER, SchemeId.SECOND_ORDER)
+    header = ["step", "first_energy", "first_drift", "second_energy", "second_drift"]
+    if args.exact:
+        orbits, cells = [_exact_orbit(args, scheme) for scheme in schemes], _exact_cells
+    else:
+        orbits, cells = [_float_orbit(args, scheme) for scheme in schemes], _float_cells
+    return chain([header], _drift_rows(orbits, cells)), 0
 
 
 def cmd_sweep(args) -> tuple[list[list[str]], int]:
@@ -439,12 +445,14 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # a mathematical check tripped
         print(f"shadowosc: check failed: {exc}", file=sys.stderr)
         return 1
-    text = "\n".join(",".join(row) for row in rows) + "\n"
+    # simulate and shadow stream their rows; the other handlers build them
+    # all first, so a run that fails midway writes no CSV.
+    lines = (",".join(row) + "\n" for row in rows)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(lines)
     return code
 
 

@@ -157,22 +157,26 @@ def map_matrix(scheme: SchemeId, x: Scalar) -> Mat2:
     return Mat2(1 - half_sq, -x + QUARTER * x**3, x, 1 - half_sq)
 
 
+def orbit(s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int) -> Iterator[PhaseState]:
+    """Iterate the step map, streamed: yields n_steps + 1 states starting
+    at s0, holding only the current one."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    step = _STEPPERS[scheme]
+    yield s0
+    for _ in range(n_steps):
+        s0 = step(s0, x)
+        yield s0
+
+
 def trajectory(s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int) -> list[PhaseState]:
-    """Iterate the step map; returns n_steps + 1 states starting at s0.
+    """The orbit() as a list: n_steps + 1 states starting at s0.
 
     With Fraction inputs the whole orbit is exact, which is how the
     conservation statements are proved bit for bit rather than within a
     tolerance.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    step = _STEPPERS[scheme]
-    states = [s0]
-    current = s0
-    for _ in range(n_steps):
-        current = step(current, x)
-        states.append(current)
-    return states
+    return list(orbit(s0, scheme, x, n_steps))
 
 
 def _common_denominator(values) -> tuple[list[int], int]:
@@ -230,6 +234,11 @@ def _inside_radius(x: Scalar) -> float:
     return x
 
 
+# generator_scale sums at most this many terms; x = 1.99999 needs about
+# 3.7e6 and x = 2 - 2^-52 about 10^14.
+MAX_SCALE_TERMS = 10**7
+
+
 def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     """Sum the even series sum_n (n!)^2/(2n+1)! x^(2n) by partial sums.
 
@@ -238,7 +247,8 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     SeriesDivergesError rather than summing: past that step size there is
     no continuous motion for the discrete map to shadow.  NaN raises
     ValueError before any term is summed, and so does a rel_tol that is
-    not positive and finite.
+    not positive and finite.  A series that needs more than
+    MAX_SCALE_TERMS terms (|x| just below 2) raises ValueError.
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
@@ -246,13 +256,14 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     x_sq = x * x
     term = 1.0
     total = 0.0
-    n = 0
-    while True:
+    for n in range(1, MAX_SCALE_TERMS + 1):
         total += term
-        n += 1
         term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
         if term < rel_tol * total:
             return total + term
+    raise ValueError(
+        f"generator scale series needs more than {MAX_SCALE_TERMS} terms at x = {x}"
+    )
 
 
 def generator_scale_closed_form(x: Scalar) -> float:

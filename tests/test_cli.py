@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc import cli, goldberg
+from shadowosc import cli, goldberg, oscillator
+from shadowosc.oscillator import PhaseState, SchemeId, shadow_energy, trajectory
 
 
 def run_cli(capsys, *argv):
@@ -169,7 +171,8 @@ def decimal_reference(n, d):
 def test_format_ratio_matches_decimal_division(n, d, text):
     assert decimal_reference(n, d) == text
     assert cli._format_ratio(n, d) == text
-    assert cli._format_value(Fraction(n, d)) == text
+    value = Fraction(n, d)  # the reduced pair
+    assert cli._format_ratio(value.numerator, value.denominator) == text
     for factor in (3, 10, 2**70):  # unreduced pairs print the value
         assert cli._format_ratio(n * factor, d * factor) == text
 
@@ -184,6 +187,82 @@ def test_format_ratio_matches_decimal_division_property(n, d, factor):
     value = Fraction(n, d)
     reference = decimal_reference(value.numerator, value.denominator)
     assert cli._format_ratio(n * factor, d * factor) == reference
+
+
+def reference_rows(command, scheme, x, s0, steps, exact):
+    """simulate/shadow rows built from trajectory() and shadow_energy()."""
+    if not exact:
+        x, s0 = float(x), PhaseState(float(s0.p), float(s0.q))
+        text, drift = repr, lambda e, e0: repr(e - e0)
+    else:
+        text = lambda v: decimal_reference(v.numerator, v.denominator)
+        drift = lambda e, e0: text(e - e0)
+    if command == "simulate":
+        rows = [["step", "p", "q", "shadow_energy", "p2_plus_q2"]]
+        for step, s in enumerate(trajectory(s0, scheme, x, steps)):
+            energy = shadow_energy(s, scheme, x)
+            rows.append([str(step), *map(text, (s.p, s.q, energy, s.p * s.p + s.q * s.q))])
+    else:
+        rows = [["step", "first_energy", "first_drift", "second_energy", "second_drift"]]
+        columns = [
+            [shadow_energy(s, scheme, x) for s in trajectory(s0, scheme, x, steps)]
+            for scheme in (SchemeId.FIRST_ORDER, SchemeId.SECOND_ORDER)
+        ]
+        for step in range(steps + 1):
+            row = [str(step)]
+            for energies in columns:
+                row += [text(energies[step]), drift(energies[step], energies[0])]
+            rows.append(row)
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("start", [("1", "0"), ("-3/5", "2/7")])
+@pytest.mark.parametrize("x", ["1/10", "7/5", "5/2"])
+def test_streamed_orbits_match_trajectory(capsys, x, start, exact):
+    steps = 200
+    s0 = PhaseState(Fraction(start[0]), Fraction(start[1]))
+    flag = ["--exact"] if exact else []
+    state = [f"--x={x}", "--steps", str(steps), f"--p0={start[0]}", f"--q0={start[1]}", *flag]
+    for label, scheme in (("first", SchemeId.FIRST_ORDER), ("second", SchemeId.SECOND_ORDER)):
+        code, out = run_cli(capsys, "simulate", "--scheme", label, *state)
+        assert code == 0
+        assert out == reference_rows("simulate", scheme, Fraction(x), s0, steps, exact)
+    code, out = run_cli(capsys, "shadow", *state)
+    assert code == 0
+    assert out == reference_rows("shadow", None, Fraction(x), s0, steps, exact)
+
+
+def test_simulate_and_shadow_memory_does_not_grow_with_steps(tmp_path):
+    # Holding the 20001 rows took about 9.5 MB; streamed, the peak is a few
+    # hundred kB.
+    target = tmp_path / "orbit.csv"
+    for command in ("simulate", "shadow"):
+        tracemalloc.start()
+        try:
+            code = cli.main(["--out", str(target), command, "--steps", "20000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20, (command, peak)
+        assert target.read_bytes().count(b"\n") == 20002
+
+
+def test_exit_two_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 10**4)
+    target = tmp_path / "rows.csv"
+    for argv in (
+        ["verify", "--x", "1.99999999999999999"],  # rounds to 2.0 in floats
+        ["verify", "--x", "1.9999999999999998"],  # past the term cap
+        ["sweep", "--x", "1.9999999999999998"],  # not DIVERGENT: x < 2
+    ):
+        for out in ([], ["--out", str(target)]):
+            assert cli.main([*out, *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error" in captured.err
+            assert not target.exists()
 
 
 def test_sweep_default_range(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowosc import oscillator
 from shadowosc.oscillator import (
     A,
     B,
@@ -183,6 +184,14 @@ def test_generator_scale_rejects_bad_tolerance():
     for rel_tol in (0.0, math.nan, math.inf):  # a nan tolerance never ends the sum
         with pytest.raises(ValueError):
             generator_scale(1.0, rel_tol)
+
+
+def test_generator_scale_term_cap(monkeypatch):
+    monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 100)
+    assert generator_scale(1.0, 1e-14) == pytest.approx(2 * math.pi / (3 * math.sqrt(3)))
+    with pytest.raises(ValueError, match="more than 100 terms at x = 1.99") as info:
+        generator_scale(1.99)
+    assert not isinstance(info.value, SeriesDivergesError)
 
 
 def test_closed_form_matches_partial_sums():
