@@ -29,6 +29,7 @@ from .oscillator import (
     ShadowForm,
     StabilityClass,
     check_generator_relations,
+    classify_trace,
     effective_generator,
     generator_direction,
     generator_scale,

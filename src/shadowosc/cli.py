@@ -28,7 +28,9 @@ from .oscillator import (
     SchemeId,
     SeriesDivergesError,
     ShadowForm,
+    _scaled_matrices,
     check_generator_relations,
+    classify_trace,
     generator_direction,
     generator_scale,
     map_matrix,
@@ -39,13 +41,18 @@ from .oscillator import (
     scaled_orbit,
     shadow_form,
     spectral_radius,
-    stability_classify,
 )
 
 _SCHEMES = {"first": SchemeId.FIRST_ORDER, "second": SchemeId.SECOND_ORDER}
 
 # Larger --x-range grids are refused before any sample is built.
 MAX_X_SAMPLES = 10**6
+
+# Largest coeffs --max-degree per letter count.  The oracle's time and
+# memory grow about 2.2x per degree for two letters and 4.5x for three:
+# 1.4 s / 40 MB at two letters, degree 14, and 1.9 s / 79 MB at three
+# letters, degree 10, on Python 3.11 (2-vCPU KVM Xeon guest).
+MAX_DEGREE = {2: 14, 3: 10}
 
 
 def _rational(text: str) -> Fraction:
@@ -69,7 +76,9 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _x_range(text: str) -> tuple[Fraction, Fraction, int]:
+def _x_range(text: str) -> tuple[range, int]:
+    """(numerators, b): the samples start + i step, as integers over
+    b = lcm(start.denominator, step.denominator)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
@@ -81,15 +90,18 @@ def _x_range(text: str) -> tuple[Fraction, Fraction, int]:
     count = int((stop - start) / step) + 1
     if count > MAX_X_SAMPLES:
         raise argparse.ArgumentTypeError(f"more than {MAX_X_SAMPLES} samples: {text!r}")
-    return start, step, count
+    b = math.lcm(start.denominator, step.denominator)
+    first, stride = int(start * b), int(step * b)
+    return range(first, first + count * stride, stride), b
 
 
-def _x_samples(args) -> list[Fraction]:
-    """Ascending exact sample points; a single --x wins over the range."""
-    if getattr(args, "x", None) is not None:
-        return [args.x]
-    start, step, count = args.x_range
-    return [start + i * step for i in range(count)]
+def _x_grid(args) -> tuple[range, int]:
+    """Ascending sample numerators over one denominator b; a single --x
+    wins over the range."""
+    if args.x is not None:
+        n, b = args.x.as_integer_ratio()
+        return range(n, n + 1), b
+    return args.x_range
 
 
 _LOG10_2 = math.log10(2)
@@ -131,6 +143,15 @@ def _format_ratio(n: int, d: int) -> str:
     return str(Decimal((sign, tuple(map(int, str(digits))), exp)))
 
 
+def _float(name: str, n: int, d: int) -> float:
+    """n/d (d > 0) as the nearest float, which is float(Fraction(n, d));
+    a value outside the float range raises ValueError naming it."""
+    try:
+        return n / d
+    except OverflowError:
+        raise ValueError(f"{name} = {_format_ratio(n, d)} is too large for a float") from None
+
+
 # Scale-series tolerance; verify also keeps it 100x below its gate, so
 # series truncation never decides a comparison.
 _SERIES_TOL = 1e-14
@@ -141,9 +162,11 @@ def _float_orbit(args, scheme: SchemeId):
     is built once, its entries converted to float: Fraction op float is
     float(Fraction) op float, so each energy has the bits of
     shadow_energy(state, scheme, x)."""
-    x = float(args.x)
+    x, p0, q0 = (
+        _float(name, *getattr(args, name).as_integer_ratio()) for name in ("x", "p0", "q0")
+    )
     energy = ShadowForm(Mat2(*map(float, shadow_form(scheme, x).m.entries()))).energy
-    states = orbit(PhaseState(float(args.p0), float(args.q0)), scheme, x, args.steps)
+    states = orbit(PhaseState(p0, q0), scheme, x, args.steps)
     return ((state, energy(state)) for state in states)
 
 
@@ -165,22 +188,17 @@ def _exact_orbit(args, scheme: SchemeId):
         yield p, q, scale, p_sq + q_sq, scale_sq, (energy, form_scale * scale_sq)
 
 
-def _sign_matches(value, x) -> bool:
-    boundary = 2 - abs(x)
-    if boundary > 0:
-        return value > 0
-    if boundary == 0:
-        return value == 0
-    return value < 0
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_coeffs(args) -> tuple[list[list[str]], int]:
-    max_degree = args.max_degree
+    max_degree, budget = args.max_degree, MAX_DEGREE[args.letters]
+    if max_degree is not None and max_degree > budget:
+        raise ValueError(
+            f"--max-degree {max_degree} is above the budget of {budget} for {args.letters} letters"
+        )
     if args.letters == 2:
         if max_degree is None:
             max_degree = goldberg.DEFAULT_MAX_DEGREE_TWO
@@ -217,24 +235,28 @@ def cmd_verify(args) -> tuple[list[list[str]], int]:
     relations_ok = all(ok for _, ok in check_generator_relations())
     emit("generator_relations", "", "exact", relations_ok)
 
-    for x in _x_samples(args):
-        x_text = repr(float(x))
+    numerators, b = _x_grid(args)
+    for n in numerators:
+        x = _float("x", n, b)
+        x_text = repr(x)
+        # 2 - |x| = edge / b, so the form's determinant must share edge's sign.
+        edge = 2 * b - abs(n)
         for label, scheme in _SCHEMES.items():
-            mat = map_matrix(scheme, x)
-            emit(f"det_map_{label}", x_text, "exact", mat.det() == 1)
+            mat, mat_scale, form, _, direction, _ = _scaled_matrices(scheme, n, b)
+            emit(f"det_map_{label}", x_text, "exact", mat.det() == mat_scale * mat_scale)
 
-            form = shadow_form(scheme, x)
-            product = form.m @ generator_direction(scheme, x)
+            product = form @ direction
             skew = product.transpose() + product
             emit(f"antisymmetry_{label}", x_text, "exact", skew == skew.zero())
-            sign_ok = _sign_matches(form.det(), x)
+            det = form.det()
+            sign_ok = det * edge > 0 or det == edge == 0
             emit(f"shadow_det_sign_{label}", x_text, "exact", sign_ok)
 
-        if 0 < abs(x) < 2:
-            scale = generator_scale(float(x), series_tol)
+        if 0 < abs(n) < 2 * b:
+            scale = generator_scale(x, series_tol)
             for label, scheme in _SCHEMES.items():
-                logmat = matrix_log_principal(map_matrix(scheme, float(x)))
-                target = (float(x) * scale) * generator_direction(scheme, float(x))
+                logmat = matrix_log_principal(map_matrix(scheme, x))
+                target = (x * scale) * generator_direction(scheme, x)
                 residual = logmat.max_abs_diff(target)
                 emit(
                     f"log_vs_generator_{label}",
@@ -242,9 +264,9 @@ def cmd_verify(args) -> tuple[list[list[str]], int]:
                     repr(residual),
                     residual <= args.tol,
                 )
-        elif abs(x) >= 2:
+        elif abs(n) >= 2 * b:
             try:
-                generator_scale(float(x))
+                generator_scale(x)
                 signalled = False
             except SeriesDivergesError:
                 signalled = True
@@ -322,23 +344,26 @@ def cmd_sweep(args) -> tuple[list[list[str]], int]:
             "theta",
         ]
     ]
-    for x in _x_samples(args):
-        trace = map_matrix(scheme, x).trace()
-        stability = stability_classify(scheme, x)
+    numerators, b = _x_grid(args)
+    for n in numerators:
+        x = _float("x", n, b)
+        mat, mat_scale, form, form_scale, _, _ = _scaled_matrices(scheme, n, b)
+        trace = mat.trace()
+        stability = classify_trace(trace, mat_scale)
         try:
-            scale_text = repr(generator_scale(float(x), _SERIES_TOL))
+            scale_text = repr(generator_scale(x, _SERIES_TOL))
         except SeriesDivergesError:
             scale_text = "DIVERGENT"
         theta_text = (
-            repr(rotation_angle(scheme, float(x))) if abs(trace) <= 2 else ""
+            repr(rotation_angle(scheme, x)) if abs(trace) <= 2 * mat_scale else ""
         )
         rows.append(
             [
-                repr(float(x)),
-                repr(float(trace)),
+                repr(x),
+                repr(_float("trace", trace, mat_scale)),
                 stability.value,
-                repr(spectral_radius(scheme, float(x))),
-                repr(float(shadow_form(scheme, x).det())),
+                repr(spectral_radius(scheme, x)),
+                repr(_float("shadow_det", form.det(), form_scale * form_scale)),
                 scale_text,
                 theta_text,
             ]
@@ -397,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=None,
-        help="truncation order (default 12 for two letters, 8 for three)",
+        help="truncation order (default 12 for two letters, 8 for three; "
+        f"at most {MAX_DEGREE[2]} and {MAX_DEGREE[3]})",
     )
     coeffs.set_defaults(handler=cmd_coeffs)
 
@@ -407,9 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=_positive_float,
         default=1e-12,
-        help="absolute gate on log_vs_generator residuals (default 1e-12); near "
-        "|x| = 2 the generator's entries grow like 1/sqrt(4 - x^2), so float "
-        "rounding alone can exceed 1e-12 there (from about x = 1.918 on)",
+        help="absolute gate on log_vs_generator residuals (default 1e-12); rows "
+        "from about x = 1.918 on fail it because the scale series stops on its "
+        "next term alone and misses the tail, a known fault: with the arcsin "
+        "closed form every row passes",
     )
     verify.set_defaults(handler=cmd_verify)
 

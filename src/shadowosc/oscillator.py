@@ -217,6 +217,31 @@ def scaled_orbit(
         yield state, denominator
 
 
+def _scaled_matrices(scheme: SchemeId, n: int, b: int) -> tuple[Mat2, int, Mat2, int, Mat2, int]:
+    """At x = n/b (b >= 1), the map, the shadow form's matrix and the
+    generator direction as integer matrices over known denominators:
+    (K, D, F, f, G, g) with map_matrix = K/D, shadow_form(...).m = F/f
+    and generator_direction = G/g, no pair reduced.  It is to an x grid
+    what scaled_orbit is to trajectory(): no Fraction is built.
+    """
+    b_sq = b * b
+    if scheme is SchemeId.FIRST_ORDER:
+        nb = n * b
+        return (
+            Mat2(b_sq, -nb, nb, b_sq - n * n), b_sq,
+            Mat2(2 * b, -n, -n, 2 * b), 4 * b,
+            Mat2(n, -2 * b, 2 * b, -n), 2 * b,
+        )
+    four_b_sq = 4 * b_sq
+    off = four_b_sq - n * n  # 4 b^2 (1 - x^2/4)
+    diag = (four_b_sq - 2 * n * n) * b  # 4 b^3 (1 - x^2/2)
+    return (
+        Mat2(diag, -n * off, 4 * n * b_sq, diag), 4 * b * b_sq,
+        Mat2(four_b_sq, 0, 0, off), 8 * b_sq,
+        Mat2(0, -off, four_b_sq, 0), four_b_sq,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Effective generator
 # ---------------------------------------------------------------------------
@@ -421,18 +446,24 @@ def _map_trace(scheme: SchemeId, x: Scalar):
     return trace
 
 
+def classify_trace(trace: Scalar, scale: int = 1) -> StabilityClass:
+    """Classify a unit-determinant map of trace trace/scale (scale > 0)
+    by |trace| against 2 scale.  Exact for int and Fraction input."""
+    bound = 2 * scale
+    if abs(trace) < bound:
+        return StabilityClass.ELLIPTIC
+    if abs(trace) == bound:
+        return StabilityClass.PARABOLIC
+    return StabilityClass.HYPERBOLIC
+
+
 def stability_classify(scheme: SchemeId, x: Scalar) -> StabilityClass:
     """Classify the one-step map by |trace| against 2.
 
     Both schemes share trace 2 - x^2.  Exact comparisons, so rational
     input at the boundary classifies exactly.  NaN raises ValueError.
     """
-    trace = _map_trace(scheme, x)
-    if abs(trace) < 2:
-        return StabilityClass.ELLIPTIC
-    if abs(trace) == 2:
-        return StabilityClass.PARABOLIC
-    return StabilityClass.HYPERBOLIC
+    return classify_trace(_map_trace(scheme, x))
 
 
 def spectral_radius(scheme: SchemeId, x: Scalar) -> float:

@@ -7,7 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowosc import cli, goldberg, oscillator
-from shadowosc.oscillator import PhaseState, SchemeId, shadow_energy, trajectory
+from shadowosc.oscillator import (
+    Mat2,
+    PhaseState,
+    SchemeId,
+    SeriesDivergesError,
+    check_generator_relations,
+    generator_direction,
+    generator_scale,
+    map_matrix,
+    matrix_log_principal,
+    rotation_angle,
+    shadow_energy,
+    shadow_form,
+    spectral_radius,
+    stability_classify,
+    trajectory,
+)
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +265,18 @@ def test_simulate_and_shadow_memory_does_not_grow_with_steps(tmp_path):
         assert target.read_bytes().count(b"\n") == 20002
 
 
+# Values too large for a float: x, p0, the trace -1e400 at x = 1e200.
+FLOAT_OVERFLOWS = (
+    ["simulate", "--x", "1e400", "--steps", "1"],
+    ["shadow", "--x", "1e400", "--steps", "1"],
+    ["simulate", "--p0", "1e400"],
+    ["verify", "--x", "1e400"],
+    ["sweep", "--x", "1e400"],
+    ["sweep", "--x-range", "0:1e400:1e399"],
+    ["sweep", "--scheme", "second", "--x", "1e200"],
+)
+
+
 def test_exit_two_leaves_no_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 10**4)
     target = tmp_path / "rows.csv"
@@ -256,6 +284,8 @@ def test_exit_two_leaves_no_csv(tmp_path, capsys, monkeypatch):
         ["verify", "--x", "1.99999999999999999"],  # rounds to 2.0 in floats
         ["verify", "--x", "1.9999999999999998"],  # past the term cap
         ["sweep", "--x", "1.9999999999999998"],  # not DIVERGENT: x < 2
+        ["coeffs", "--letters", "3", "--max-degree", "11"],  # over the budget
+        *FLOAT_OVERFLOWS,
     ):
         for out in ([], ["--out", str(target)]):
             assert cli.main([*out, *argv]) == 2
@@ -318,10 +348,22 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_coeffs_degree_out_of_range_exits_two(capsys):
-    for letters, degree in (("3", "2"), ("2", "0"), ("3", "0")):
+    for letters, degree in (("3", "2"), ("2", "0"), ("3", "0"), ("2", "15"), ("3", "11")):
         code = cli.main(["coeffs", "--letters", letters, "--max-degree", degree])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_coeffs_budget_admits_documented_degrees(capsys, monkeypatch):
+    # Stubs stand in for the oracle, so the largest degrees cost nothing.
+    asked = []
+    for name in ("verify_two_letter", "verify_three_letter"):
+        monkeypatch.setattr(goldberg, name, lambda degree: asked.append(degree) or [])
+    for letters, degree in ((2, 14), (3, 10)):
+        assert cli.MAX_DEGREE[letters] >= degree
+        argv = ["coeffs", "--letters", str(letters), "--max-degree", str(degree)]
+        assert run_cli(capsys, *argv) == (0, "word,closed_form,oracle,match\n")
+    assert asked == [14, 10]
 
 
 def test_coeffs_default_degrees(capsys):
@@ -353,3 +395,116 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+    for argv in FLOAT_OVERFLOWS:
+        assert cli.main(argv) == 2
+
+
+def reference_grid_rows(command, scheme, xs, tol=1e-12):
+    """verify (both schemes) or sweep (one scheme) rows and exit code,
+    with every exact column computed on Fractions from map_matrix,
+    shadow_form, generator_direction and stability_classify."""
+    schemes = {"first": SchemeId.FIRST_ORDER, "second": SchemeId.SECOND_ORDER}
+    sign = lambda v: (v > 0) - (v < 0)
+    if command == "sweep":
+        rows = [["x", "trace", "stability", "spectral_radius", "shadow_det",
+                 "generator_scale", "theta"]]
+        for x in xs:
+            trace = map_matrix(scheme, x).trace()
+            try:
+                scale_text = repr(generator_scale(float(x), 1e-14))
+            except SeriesDivergesError:
+                scale_text = "DIVERGENT"
+            rows.append([
+                repr(float(x)),
+                repr(float(trace)),
+                stability_classify(scheme, x).value,
+                repr(spectral_radius(scheme, float(x))),
+                repr(float(shadow_form(scheme, x).det())),
+                scale_text,
+                repr(rotation_angle(scheme, float(x))) if abs(trace) <= 2 else "",
+            ])
+        return "".join(",".join(row) + "\n" for row in rows), 0
+    rows = [["invariant", "x", "residual", "pass"],
+            ["generator_relations", "", "exact",
+             "pass" if all(ok for _, ok in check_generator_relations()) else "fail"]]
+    for x in xs:
+        x_text = repr(float(x))
+        for label, scheme in schemes.items():
+            form = shadow_form(scheme, x)
+            product = form.m @ generator_direction(scheme, x)
+            checks = {
+                "det_map": map_matrix(scheme, x).det() == 1,
+                "antisymmetry": product.transpose() + product == Mat2.zero(),
+                "shadow_det_sign": sign(form.det()) == sign(2 - abs(x)),
+            }
+            for name, ok in checks.items():
+                rows.append([f"{name}_{label}", x_text, "exact", "pass" if ok else "fail"])
+        if 0 < abs(x) < 2:
+            scale = generator_scale(float(x), min(tol * 1e-2, 1e-14))
+            for label, scheme in schemes.items():
+                log = matrix_log_principal(map_matrix(scheme, float(x)))
+                target = (float(x) * scale) * generator_direction(scheme, float(x))
+                residual = log.max_abs_diff(target)
+                rows.append([f"log_vs_generator_{label}", x_text, repr(residual),
+                             "pass" if residual <= tol else "fail"])
+        elif abs(x) >= 2:  # generator_scale raises there for every x
+            rows.append(["divergence_signaled", x_text, "exact", "pass"])
+    code = 1 if any(row[3] == "fail" for row in rows[1:]) else 0
+    return "".join(",".join(row) + "\n" for row in rows), code
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "--x-range=-5/2:5/2:1/2",  # through x = -2 and x = 2
+        "--x-range=-2:3:1/7",  # denominator 7, through both edges
+        "--x-range=1/3:3:1/4",  # b = lcm(3, 4)
+        "--x=1e-9",
+        "--x=1e-200",
+        "--x=2",
+        "--x=-3/2",
+        "--x=1.9999",  # a known log_vs_generator fail: exit 1
+    ],
+)
+def test_grid_rows_match_fraction_reference(capsys, grid):
+    kind, value = grid[2:].split("=")
+    if kind == "x":
+        xs = [Fraction(value)]
+    else:
+        start, stop, step = map(Fraction, value.split(":"))
+        xs = [start + i * step for i in range(int((stop - start) / step) + 1)]
+    assert run_cli(capsys, "verify", grid)[::-1] == reference_grid_rows("verify", None, xs)
+    for label, scheme in (("first", SchemeId.FIRST_ORDER), ("second", SchemeId.SECOND_ORDER)):
+        got = run_cli(capsys, "sweep", "--scheme", label, grid)[::-1]
+        assert got == reference_grid_rows("sweep", scheme, xs)
+
+
+@pytest.mark.parametrize(
+    "invariant, perturb",
+    [
+        # K + D e11 has determinant D^2 + D K.d, not D^2.
+        ("det_map", lambda k, d, f, fs, g, gs: (k + Mat2(d, 0, 0, 0), d, f, fs, g, gs)),
+        # F (G + g I) = F G + g F, whose skew part 2 g F is not zero.
+        ("antisymmetry", lambda k, d, f, fs, g, gs: (k, d, f, fs, g + gs * Mat2.identity(), gs)),
+        # Negating F.d flips the sign of det F; negating G.b too keeps F G
+        # antisymmetric (the second scheme's F and G are diagonal and anti-diagonal).
+        (
+            "shadow_det_sign",
+            lambda k, d, f, fs, g, gs: (k, d, Mat2(f.a, 0, 0, -f.d), fs, Mat2(g.a, -g.b, g.c, g.d), gs),
+        ),
+    ],
+)
+def test_verify_checks_each_sample(capsys, monkeypatch, invariant, perturb):
+    helper = cli._scaled_matrices
+
+    def broken(scheme, n, b):
+        matrices = helper(scheme, n, b)
+        if scheme is SchemeId.SECOND_ORDER and Fraction(n, b) == Fraction(1, 2):
+            return perturb(*matrices)
+        return matrices
+
+    monkeypatch.setattr(cli, "_scaled_matrices", broken)
+    code, out = run_cli(capsys, "verify", "--x-range", "0:1:1/4")
+    assert code == 1
+    failed = [row for row in parse_csv(out) if row[3] == "fail"]
+    assert failed == [[f"{invariant}_second", "0.5", "exact", "fail"]]

@@ -17,7 +17,9 @@ from shadowosc.oscillator import (
     SeriesDivergesError,
     ShadowForm,
     StabilityClass,
+    _scaled_matrices,
     check_generator_relations,
+    classify_trace,
     commutator,
     effective_generator,
     generator_direction,
@@ -128,13 +130,16 @@ def test_map_matrix_equals_factor_products():
         assert map_matrix(SECOND, x) == sandwich
 
 
-def test_map_matrix_agrees_with_stepping():
-    rng = random.Random(11)
-    for scheme in (FIRST, SECOND):
-        for _ in range(5):
-            x = random_rational(rng)
-            s = PhaseState(random_rational(rng), random_rational(rng))
-            assert map_matrix(scheme, x).apply(s) == STEPPERS[scheme](s, x)
+@settings(max_examples=200, deadline=None)
+@given(
+    scheme=st.sampled_from(list(SchemeId)),
+    x=st.fractions(max_denominator=10**6),
+    p=st.fractions(max_denominator=10**6),
+    q=st.fractions(max_denominator=10**6),
+)
+def test_map_matrix_agrees_with_stepping(scheme, x, p, q):
+    s = PhaseState(p, q)
+    assert map_matrix(scheme, x).apply(s) == STEPPERS[scheme](s, x)
 
 
 def test_unit_jacobian_exact():
@@ -243,6 +248,17 @@ def test_matrix_log_inverts_exp():
         for scheme in (FIRST, SECOND):
             m = map_matrix(scheme, x)
             assert mat_exp(matrix_log_principal(m)).max_abs_diff(m) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme=st.sampled_from(list(SchemeId)),
+    x=st.floats(min_value=-1.9, max_value=1.9).filter(lambda x: x != 0),
+)
+def test_matrix_log_of_exp_round_trip(scheme, x):
+    # x = 0 is excluded: exp(0) = I has no elliptic logarithm.
+    step = x * effective_generator(scheme, x, 1e-14)
+    assert matrix_log_principal(mat_exp(step)).max_abs_diff(step) < 1e-12
 
 
 def test_matrix_log_matches_scaled_direction():
@@ -390,6 +406,10 @@ def test_stability_classification():
     assert stability_classify(SECOND, -2) is StabilityClass.PARABOLIC
     # The identity map at x = 0 sits on the |trace| = 2 boundary too.
     assert stability_classify(FIRST, 0) is StabilityClass.PARABOLIC
+    # Integer traces over a denominator: -8/4, 7/4 and -9/4.
+    assert classify_trace(-8, 4) is StabilityClass.PARABOLIC
+    assert classify_trace(7, 4) is StabilityClass.ELLIPTIC
+    assert classify_trace(-9, 4) is StabilityClass.HYPERBOLIC
 
 
 def test_spectral_radius_values():
@@ -467,6 +487,25 @@ def test_scaled_orbit_equals_trajectory(scheme, x):
 
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme=st.sampled_from(list(SchemeId)),
+    n=st.integers(min_value=-(10**12), max_value=10**12),
+    b=st.integers(min_value=1, max_value=10**12),
+)
+def test_scaled_matrices_equal_fraction_reference(scheme, n, b):
+    x = Fraction(n, b)
+    mat, mat_scale, form, form_scale, direction, direction_scale = _scaled_matrices(scheme, n, b)
+    pairs = (
+        (mat, mat_scale, map_matrix(scheme, x)),
+        (form, form_scale, shadow_form(scheme, x).m),
+        (direction, direction_scale, generator_direction(scheme, x)),
+    )
+    for scaled, scale, reference in pairs:
+        assert all(type(v) is int for v in (*scaled.entries(), scale)) and scale > 0
+        assert Mat2(*(Fraction(v, scale) for v in scaled.entries())) == reference
 
 
 @settings(max_examples=60, deadline=None)
