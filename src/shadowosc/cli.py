@@ -48,10 +48,10 @@ _SCHEMES = {"first": SchemeId.FIRST_ORDER, "second": SchemeId.SECOND_ORDER}
 # Larger --x-range grids are refused before any sample is built.
 MAX_X_SAMPLES = 10**6
 
-# Largest coeffs --max-degree per letter count.  The oracle's time and
-# memory grow about 2.2x per degree for two letters and 4.5x for three:
-# 1.4 s / 40 MB at two letters, degree 14, and 1.9 s / 79 MB at three
-# letters, degree 10, on Python 3.11 (2-vCPU KVM Xeon guest).
+# Largest coeffs --max-degree per letter count.  The oracle's time grows
+# about 2x per degree for two letters and 3-4x for three: 0.3 s / 25 MB
+# at two letters, degree 14, and 0.6 s / 40 MB at three letters, degree
+# 10, on Python 3.11 (2-vCPU KVM Xeon guest).
 MAX_DEGREE = {2: 14, 3: 10}
 
 

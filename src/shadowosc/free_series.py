@@ -8,15 +8,17 @@ stored, which makes equality of series plain dictionary equality.
 This is the brute-force side of every coefficient identity checked in
 :mod:`shadowosc.goldberg`: ``log_exp_product`` multiplies out exponentials
 of single letters and takes the formal logarithm, with no closed-form
-knowledge baked in.  It does that work on integers over one known
-denominator per word length (a divided-power scaling, described in its
-docstring), so its hot loop takes no gcd, and it builds Fractions only
-for the words of its result.  The Fraction ring operations
-``series_mul``, ``series_exp`` and ``series_log`` are its reference.
+knowledge baked in.  It works on integers over one known denominator
+per word length (a divided-power scaling), in dense lists indexed by each
+word's base-r code, so its hot loop takes no gcd and hashes no word; it
+builds Fractions only for the words of its result.  The Fraction ring
+operations ``series_mul``, ``series_exp`` and ``series_log`` are its
+reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
@@ -211,11 +213,15 @@ def log_exp_product(
     * with ``S = P - 1`` and ``M = lcm(1..max_degree)``, the log
       ``sum (-1)^(m+1) S^m / m`` is held as ``sum (-1)^(m+1) (M/m) S^m``.
 
-    Every step is integer addition and multiplication, so nothing is
-    rounded or reduced, and each held value is the true coefficient times
-    a positive integer fixed by the word length alone.  Dividing that
-    integer out, one Fraction per surviving word, gives the exact result;
-    no gcd is taken before then.
+    Each held value is the true coefficient times a positive integer
+    fixed by the word length, so nothing is rounded and no gcd is taken
+    until one Fraction per surviving word divides that integer out.
+
+    The integers live in dense lists, one per word length: with the
+    ``r`` distinct letters sorted, a word is its base-``r`` code, so the
+    list for length ``n`` holds ``r^n`` ints in lexicographic word order.
+    Appending a word ``v`` of length ``m`` maps code ``u`` to
+    ``u r^m + code(v)``: one strided slice ``[code(v)::r^m]`` per ``v``.
     """
     if not weights:
         raise ValueError("log_exp_product needs at least one factor")
@@ -226,50 +232,50 @@ def log_exp_product(
         if index < 0:
             raise ValueError(f"letter index must be >= 0, got {index}")
         scales.append((index, Fraction(scale)))
+    letters = sorted({index for index, _ in scales})
+    radix, lengths = len(letters), range(max_degree + 1)
     base = math.lcm(*(scale.denominator for _, scale in scales))
-    product: dict[Word, int] = {(): 1}
+    product = [[1]] + [[0] * radix**n for n in lengths[1:]]
     for index, scale in scales:
         weight = scale.numerator * (base // scale.denominator)
-        factor = {(index,) * m: weight**m for m in range(max_degree + 1)}
-        product = _divided_power_mul(product, factor, max_degree)
-    del product[()]  # S = P - 1; every factor has constant term 1
+        digit = letters.index(index)  # x_l^m is m base-r digits, all this one
+        factor = [(m, digit * sum(radix**k for k in range(m)), weight**m) for m in lengths]
+        product = _concat(product, factor, radix)
+    product[0][0] = 0  # S = P - 1; every factor has constant term 1
+    shifted = [(m, c, v) for m in lengths for c, v in enumerate(product[m]) if v]
     common = math.lcm(*range(1, max_degree + 1))
-    total: dict[Word, int] = {}
+    total = [[0] * radix**n for n in lengths]
     power = product
     for m in range(1, max_degree + 1):
-        if not power:
-            break
         coeff = common // m if m % 2 else -(common // m)
-        for word, value in power.items():
-            total[word] = total.get(word, 0) + coeff * value
-        power = _divided_power_mul(power, product, max_degree)
-    denominators = [common * base**n * math.factorial(n) for n in range(max_degree + 1)]
-    return FreeSeries(
-        max_degree,
-        {w: Fraction(v, denominators[len(w)]) for w, v in total.items() if v},
-    )
+        for n in range(m, max_degree + 1):
+            total[n] = [t + coeff * p for t, p in zip(total[n], power[n])]
+        power = _concat(power, shifted, radix)
+    denominators = [common * base**n * math.factorial(n) for n in lengths]
+    return FreeSeries(max_degree, {
+        word: Fraction(value, denominators[n])
+        for n in lengths
+        for word, value in zip(itertools.product(letters, repeat=n), total[n])
+        if value
+    })
 
 
-def _divided_power_mul(
-    left: dict[Word, int], right: dict[Word, int], limit: int
-) -> dict[Word, int]:
-    """Truncated concatenation product of two divided-power series.
-
-    Both factors and the result hold ``c * b^|w| * |w|!`` per word, so
-    each pair carries the binomial ``C(|u| + |v|, |u|)``.  Zero terms are
-    dropped.
-    """
-    by_length: dict[int, list[tuple[Word, int]]] = {}
-    for word, value in right.items():
-        by_length.setdefault(len(word), []).append((word, value))
-    product: dict[Word, int] = {}
-    for left_word, left_value in left.items():
-        size = len(left_word)
-        for length, items in by_length.items():
-            if size + length > limit:
-                continue
-            scale = math.comb(size + length, size) * left_value
-            for right_word, right_value in items:
-                word = left_word + right_word
-                product[word] = product.get(word, 0) + scale * right_value
-    return {word: value for word, value in product.items() if value}
+def _concat(
+    left: list[list[int]], right: list[tuple[int, int, int]], radix: int
+) -> list[list[int]]:
+    """Truncated concatenation product of two divided-power series:
+    ``left`` dense (``radix^n`` ints per length ``n``), ``right`` a list of
+    ``(length, code, value)`` words, shortest first.  Each pair carries
+    the binomial ``C(|u| + |v|, |u|)``."""
+    out = [[0] * len(row) for row in left]
+    for n, row in enumerate(left):
+        if not any(row):
+            continue
+        for m, code, value in right:
+            if n + m >= len(out):
+                break
+            stride = radix**m
+            scale = math.comb(n + m, n) * value
+            dst = out[n + m]
+            dst[code::stride] = [a + scale * b for a, b in zip(dst[code::stride], row)]
+    return out

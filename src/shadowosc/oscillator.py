@@ -472,6 +472,8 @@ def spectral_radius(scheme: SchemeId, x: Scalar) -> float:
     trace = abs(float(_map_trace(scheme, x)))
     if trace <= 2.0:
         return 1.0
+    if math.isinf(trace * trace):  # |trace| above ~1e154: factor it out of the root
+        return trace * ((1.0 + math.sqrt(1.0 - 4.0 / trace / trace)) / 2.0)
     return (trace + math.sqrt(trace * trace - 4.0)) / 2.0
 
 

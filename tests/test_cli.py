@@ -331,6 +331,17 @@ def test_sweep_default_range(capsys):
     assert xs == sorted(xs)
 
 
+def test_sweep_spectral_radius_finite_where_trace_squared_overflows(capsys):
+    # trace = 2 - x^2 = -1e300 is a float, but its square is not.
+    code, out = run_cli(capsys, "sweep", "--x", "1e150")
+    header, row = parse_csv(out)
+    assert code == 0
+    cells = dict(zip(header, row))
+    trace, radius = float(cells["trace"]), float(cells["spectral_radius"])
+    assert trace == -1e300
+    assert radius == pytest.approx(abs(trace), rel=1e-15)
+
+
 def test_sweep_is_deterministic(capsys):
     _, first = run_cli(capsys, "sweep", "--x-range", "0:3:0.25")
     _, second = run_cli(capsys, "sweep", "--x-range", "0:3:0.25")

@@ -129,12 +129,22 @@ def reference_log_exp_product(weights, max_degree):
         (((A, 1), (B, 0)), 9),
         (((A, 0), (B, Fraction(1, 2)), (C, -1)), 6),
         (((A, Fraction(1, 2)), (B, 1), (A, Fraction(1, 2))), 9),
+        # Letters that are not 0..r-1, not in order, or repeated.
+        (((0, 1), (4, 1)), 8),
+        (((C, 1), (A, 2)), 8),
+        (((A, 1), (A, -1), (B, 1)), 7),
     ],
 )
 def test_log_exp_product_matches_fraction_reference(weights, max_degree):
     assert log_exp_product(weights, max_degree) == reference_log_exp_product(
         weights, max_degree
     )
+
+
+def test_log_exp_product_sizes_by_distinct_letters():
+    # One distinct letter is one word per length.  Lists sized by the
+    # largest index would hold 10**n words at length n.
+    assert log_exp_product(((9, 1),), 14) == FreeSeries(14, {(9,): 1})
 
 
 def test_log_exp_product_rejects_negative_letter():
