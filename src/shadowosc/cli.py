@@ -23,11 +23,10 @@ from itertools import chain
 
 from . import goldberg
 from .oscillator import (
-    Mat2,
+    HALF,
     PhaseState,
     SchemeId,
     SeriesDivergesError,
-    ShadowForm,
     _scaled_matrices,
     check_generator_relations,
     classify_trace,
@@ -35,7 +34,6 @@ from .oscillator import (
     generator_scale,
     map_matrix,
     matrix_log_principal,
-    orbit,
     rotation_angle,
     scaled_matrix,
     scaled_orbit,
@@ -157,17 +155,56 @@ def _float(name: str, n: int, d: int) -> float:
 _SERIES_TOL = 1e-14
 
 
-def _float_orbit(args, scheme: SchemeId):
-    """The float orbit, streamed as (state, shadow energy) pairs.  The form
-    is built once, its entries converted to float: Fraction op float is
+def _float_orbit(args, scheme: SchemeId) -> Iterator[tuple[float, float, float]]:
+    """The float orbit, streamed as (p, q, shadow energy) floats.  The step
+    is step_first_order or step_second_order and the energy that of
+    shadow_form, op for op, on plain floats: Fraction op float is
     float(Fraction) op float, so each energy has the bits of
-    shadow_energy(state, scheme, x)."""
-    x, p0, q0 = (
+    shadow_energy(state, scheme, x).  x, p0 and q0 are converted before
+    the generator starts, so a value too large for a float fails first."""
+    x, p, q = (
         _float(name, *getattr(args, name).as_integer_ratio()) for name in ("x", "p0", "q0")
     )
-    energy = ShadowForm(Mat2(*map(float, shadow_form(scheme, x).m.entries()))).energy
-    states = orbit(PhaseState(p0, q0), scheme, x, args.steps)
-    return ((state, energy(state)) for state in states)
+    a, b, c, d = map(float, shadow_form(scheme, x).m.entries())
+    return _float_steps(scheme, x, p, q, a, b + c, d, args.steps)
+
+
+def _float_steps(scheme, x, p, q, a, cross, d, steps):
+    second, half_x = scheme is SchemeId.SECOND_ORDER, HALF * x
+    yield p, q, a * p * p + cross * p * q + d * q * q
+    for _ in range(steps):
+        if second:
+            p -= half_x * q
+            q += x * p
+            p -= half_x * q
+        else:
+            p -= x * q
+            q += x * p
+        yield p, q, a * p * p + cross * p * q + d * q * q
+
+
+class _FloatText(dict):
+    """repr() of floats, memoised: an orbit's energies repeat, a few
+    hundred distinct values in 10^5 steps.  Zeros are never stored, so
+    0.0 and -0.0 cannot share an entry; NaN never hits, and the size
+    bound keeps a run of them flat."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            if len(self) >= 4096:
+                self.clear()
+            self[value] = text
+        return text
+
+    def cells(self, energy: float, energy0: float) -> tuple[str, str]:
+        """The energy and its drift from energy0, as text."""
+        return self[energy], self[energy - energy0]
+
+
+def _csv(rows) -> Iterator[str]:
+    """Rows of cells as CSV lines."""
+    return (",".join(row) + "\n" for row in rows)
 
 
 def _exact_orbit(args, scheme: SchemeId):
@@ -193,7 +230,7 @@ def _exact_orbit(args, scheme: SchemeId):
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args) -> tuple[list[list[str]], int]:
+def cmd_coeffs(args) -> tuple[Iterator[str], int]:
     max_degree, budget = args.max_degree, MAX_DEGREE[args.letters]
     if max_degree is not None and max_degree > budget:
         raise ValueError(
@@ -219,10 +256,10 @@ def cmd_coeffs(args) -> tuple[list[list[str]], int]:
             ]
         )
         failed = failed or not report.match
-    return rows, 1 if failed else 0
+    return _csv(rows), 1 if failed else 0
 
 
-def cmd_verify(args) -> tuple[list[list[str]], int]:
+def cmd_verify(args) -> tuple[Iterator[str], int]:
     rows = [["invariant", "x", "residual", "pass"]]
     failed = False
 
@@ -272,40 +309,31 @@ def cmd_verify(args) -> tuple[list[list[str]], int]:
                 signalled = True
             emit("divergence_signaled", x_text, "exact", signalled)
 
-    return rows, 1 if failed else 0
+    return _csv(rows), 1 if failed else 0
 
 
-def cmd_simulate(args) -> tuple[Iterator[list[str]], int]:
+def cmd_simulate(args) -> tuple[Iterator[str], int]:
     scheme = _SCHEMES[args.scheme]
-    header = ["step", "p", "q", "shadow_energy", "p2_plus_q2"]
     if args.exact:
-        rows = (
-            [
-                str(step),
-                _format_ratio(p, scale),
-                _format_ratio(q, scale),
-                _format_ratio(*energy),
-                _format_ratio(norm, scale_sq),
-            ]
+        lines = (
+            f"{step},{_format_ratio(p, scale)},{_format_ratio(q, scale)},"
+            f"{_format_ratio(*energy)},{_format_ratio(norm, scale_sq)}\n"
             for step, (p, q, scale, norm, scale_sq, energy) in enumerate(
                 _exact_orbit(args, scheme)
             )
         )
     else:
-        rows = (
-            [str(step), repr(p), repr(q), repr(energy), repr(p * p + q * q)]
-            for step, ((p, q), energy) in enumerate(_float_orbit(args, scheme))
+        text = _FloatText()
+        lines = (
+            f"{step},{p!r},{q!r},{text[energy]},{p * p + q * q!r}\n"
+            for step, (p, q, energy) in enumerate(_float_orbit(args, scheme))
         )
-    return chain([header], rows), 0
+    return chain(["step,p,q,shadow_energy,p2_plus_q2\n"], lines), 0
 
 
 def _exact_cells(energy, energy0) -> tuple[str, str]:
     (n, d), (n0, d0) = energy, energy0
     return _format_ratio(n, d), _format_ratio(n * d0 - n0 * d, d * d0)
-
-
-def _float_cells(energy, energy0) -> tuple[str, str]:
-    return repr(energy), repr(energy - energy0)
 
 
 def _drift_rows(orbits, cells):
@@ -321,17 +349,17 @@ def _drift_rows(orbits, cells):
         yield row
 
 
-def cmd_shadow(args) -> tuple[Iterator[list[str]], int]:
+def cmd_shadow(args) -> tuple[Iterator[str], int]:
     schemes = (SchemeId.FIRST_ORDER, SchemeId.SECOND_ORDER)
     header = ["step", "first_energy", "first_drift", "second_energy", "second_drift"]
     if args.exact:
         orbits, cells = [_exact_orbit(args, scheme) for scheme in schemes], _exact_cells
     else:
-        orbits, cells = [_float_orbit(args, scheme) for scheme in schemes], _float_cells
-    return chain([header], _drift_rows(orbits, cells)), 0
+        orbits, cells = [_float_orbit(args, scheme) for scheme in schemes], _FloatText().cells
+    return _csv(chain([header], _drift_rows(orbits, cells))), 0
 
 
-def cmd_sweep(args) -> tuple[list[list[str]], int]:
+def cmd_sweep(args) -> tuple[Iterator[str], int]:
     scheme = _SCHEMES[args.scheme]
     rows = [
         [
@@ -368,7 +396,7 @@ def cmd_sweep(args) -> tuple[list[list[str]], int]:
                 theta_text,
             ]
         )
-    return rows, 0
+    return _csv(rows), 0
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +493,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rows, code = args.handler(args)
+        lines, code = args.handler(args)
     except ValueError as exc:  # bad parameter combinations are usage errors
         print(f"shadowosc: error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a mathematical check tripped
         print(f"shadowosc: check failed: {exc}", file=sys.stderr)
         return 1
-    # simulate and shadow stream their rows; the other handlers build them
-    # all first, so a run that fails midway writes no CSV.
-    lines = (",".join(row) + "\n" for row in rows)
+    # Every handler returns finished lines.  simulate and shadow stream
+    # them; the others build all their rows first, so a run that fails
+    # midway writes no CSV.
     if args.out is None:
         sys.stdout.writelines(lines)
     else:

@@ -46,7 +46,8 @@ class FreeSeries:
                 word = tuple(word)
                 if len(word) > max_degree:
                     continue
-                value = Fraction(value)
+                if type(value) is not Fraction:  # a Fraction is immutable: keep it
+                    value = Fraction(value)
                 if value:
                     clean[word] = value
         object.__setattr__(self, "coeffs", clean)

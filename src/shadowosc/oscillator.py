@@ -149,12 +149,21 @@ _STEPPERS = {
 }
 
 
+def _map_diagonal(scheme: SchemeId, x: Scalar) -> tuple:
+    """(a, d), the diagonal of map_matrix(scheme, x).  The trace needs
+    nothing else, and a float x too large for x**3 still has one."""
+    if scheme is SchemeId.FIRST_ORDER:
+        return 1, 1 - x * x
+    diag = 1 - HALF * x * x
+    return diag, diag
+
+
 def map_matrix(scheme: SchemeId, x: Scalar) -> Mat2:
     """The one-step map as an explicit matrix (determinant exactly 1)."""
+    a, d = _map_diagonal(scheme, x)
     if scheme is SchemeId.FIRST_ORDER:
-        return Mat2(1, -x, x, 1 - x * x)
-    half_sq = HALF * x * x
-    return Mat2(1 - half_sq, -x + QUARTER * x**3, x, 1 - half_sq)
+        return Mat2(a, -x, x, d)
+    return Mat2(a, -x + QUARTER * x**3, x, d)
 
 
 def orbit(s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int) -> Iterator[PhaseState]:
@@ -268,7 +277,11 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     """Sum the even series sum_n (n!)^2/(2n+1)! x^(2n) by partial sums.
 
     Terms are accumulated until the next one drops below rel_tol of the
-    running total.  For |x| >= 2 the series diverges and this raises
+    running total.  Each term is the last times x^2 n^2 / ((2n)(2n+1)),
+    with the counter n run as a float: for n <= MAX_SCALE_TERMS = 10^7,
+    n and (2n)(2n+1) are integers below 2^53 (about 9.0e15), so both are
+    exact as floats and every term has the bits of the integer-counter
+    recurrence.  For |x| >= 2 the series diverges and this raises
     SeriesDivergesError rather than summing: past that step size there is
     no continuous motion for the discrete map to shadow.  NaN raises
     ValueError before any term is summed, and so does a rel_tol that is
@@ -281,9 +294,12 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     x_sq = x * x
     term = 1.0
     total = 0.0
-    for n in range(1, MAX_SCALE_TERMS + 1):
+    n = 0.0
+    for _ in range(MAX_SCALE_TERMS):
         total += term
-        term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
+        n += 1.0
+        two_n = n + n
+        term *= x_sq * n * n / (two_n * (two_n + 1.0))
         if term < rel_tol * total:
             return total + term
     raise ValueError(
@@ -439,8 +455,10 @@ def shadow_energy(s: PhaseState, scheme: SchemeId, x: Scalar):
 
 
 def _map_trace(scheme: SchemeId, x: Scalar):
-    """Trace of the one-step map; a NaN trace (x = nan) raises ValueError."""
-    trace = map_matrix(scheme, x).trace()
+    """Trace of the one-step map, from its diagonal alone; a NaN trace
+    (x = nan) raises ValueError."""
+    a, d = _map_diagonal(scheme, x)
+    trace = a + d
     if trace != trace:  # only NaN differs from itself; no float conversion
         raise ValueError(f"the one-step map is undefined at x = {x}")
     return trace

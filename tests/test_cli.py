@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -232,10 +233,11 @@ def reference_rows(command, scheme, x, s0, steps, exact):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-@pytest.mark.parametrize("exact", [False, True])
-@pytest.mark.parametrize("start", [("1", "0"), ("-3/5", "2/7")])
-@pytest.mark.parametrize("x", ["1/10", "7/5", "5/2"])
-def test_streamed_orbits_match_trajectory(capsys, x, start, exact):
+STARTS = [("1", "0"), ("-3/5", "2/7"), ("0", "0")]
+
+
+def check_streamed_orbits(capsys, x, start, exact):
+    """simulate (both schemes) and shadow print reference_rows()."""
     steps = 200
     s0 = PhaseState(Fraction(start[0]), Fraction(start[1]))
     flag = ["--exact"] if exact else []
@@ -249,20 +251,42 @@ def test_streamed_orbits_match_trajectory(capsys, x, start, exact):
     assert out == reference_rows("shadow", None, Fraction(x), s0, steps, exact)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("x", ["1/10", "7/5", "5/2"])
+def test_streamed_orbits_match_trajectory(capsys, x, start, exact):
+    check_streamed_orbits(capsys, x, start, exact)
+
+
+# Float only: near the radius, negative, and so large that the state
+# overflows, which pins today's inf and nan rows.
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("x", ["1999/1000", "-3/4", "1e200"])
+def test_streamed_float_orbits_match_trajectory(capsys, x, start):
+    check_streamed_orbits(capsys, x, start, False)
+
+
 def test_simulate_and_shadow_memory_does_not_grow_with_steps(tmp_path):
     # Holding the 20001 rows took about 9.5 MB; streamed, the peak is a few
-    # hundred kB.
+    # hundred kB.  At x = 5/2 the float energies overflow to inf and nan,
+    # so nearly every row misses the text cache, which must stay bounded.
     target = tmp_path / "orbit.csv"
-    for command in ("simulate", "shadow"):
+    for argv in (["simulate"], ["shadow"], ["simulate", "--x", "5/2"]):
         tracemalloc.start()
         try:
-            code = cli.main(["--out", str(target), command, "--steps", "20000"])
+            code = cli.main(["--out", str(target), *argv, "--steps", "20000"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 2 * 2**20, (command, peak)
+        assert peak < 2 * 2**20, (argv, peak)
         assert target.read_bytes().count(b"\n") == 20002
+
+
+def test_float_text_cache_keeps_signed_zeros_apart():
+    text = cli._FloatText()
+    for value in (0.0, -0.0, 0.0, 0.5, -0.0, math.nan, math.inf, 0.5):
+        assert text[value] == repr(value)
 
 
 # Values too large for a float: x, p0, the trace -1e400 at x = 1e200.
@@ -340,6 +364,16 @@ def test_sweep_spectral_radius_finite_where_trace_squared_overflows(capsys):
     trace, radius = float(cells["trace"]), float(cells["spectral_radius"])
     assert trace == -1e300
     assert radius == pytest.approx(abs(trace), rel=1e-15)
+
+
+def test_sweep_second_scheme_radius_where_x_cubed_overflows(capsys):
+    # x^3 = 1e330 overflows a float, but the trace 2 - x^2 = -1e220 does not.
+    code, out = run_cli(capsys, "sweep", "--scheme", "second", "--x", "1e110")
+    header, row = parse_csv(out)
+    assert code == 0
+    radius = float(dict(zip(header, row))["spectral_radius"])
+    assert math.isfinite(radius)
+    assert radius == pytest.approx(1e220, rel=1e-15)
 
 
 def test_sweep_is_deterministic(capsys):

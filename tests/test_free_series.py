@@ -189,6 +189,14 @@ def test_zero_coefficients_are_dropped():
     assert series == FreeSeries.letter(B, 3)
 
 
+def test_fraction_coefficients_are_kept_and_others_converted():
+    value = Fraction(2, 3)
+    series = FreeSeries(3, {(A,): value, (B,): 2, (A, B): "1/4"})
+    assert series.coeffs[(A,)] is value
+    assert [type(c) for c in series.coeffs.values()] == [Fraction] * 3
+    assert series.coeffs[(B,)] == 2 and series.coeffs[(A, B)] == Fraction(1, 4)
+
+
 def test_series_is_immutable():
     series = FreeSeries.one(3)
     with pytest.raises(AttributeError):

@@ -199,6 +199,28 @@ def test_generator_scale_term_cap(monkeypatch):
     assert not isinstance(info.value, SeriesDivergesError)
 
 
+def integer_counter_scale(x, rel_tol):
+    """The scale series with an int counter n, the float one's reference."""
+    x_sq = x * x
+    term = 1.0
+    total = 0.0
+    for n in range(1, oscillator.MAX_SCALE_TERMS + 1):
+        total += term
+        term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
+        if term < rel_tol * total:
+            return total + term
+    raise AssertionError(f"no stop within the term cap at x = {x}")
+
+
+def test_generator_scale_matches_integer_counter_bit_for_bit():
+    rng = random.Random(20260)
+    xs = [rng.uniform(-1.99, 1.99) for _ in range(500)]
+    xs += [10.0**-k for k in range(1, 301)] + [1.9999, -1.9999]
+    for rel_tol in (1e-12, 1e-14):
+        for x in xs:
+            assert generator_scale(x, rel_tol) == integer_counter_scale(x, rel_tol), (x, rel_tol)
+
+
 def test_closed_form_matches_partial_sums():
     for k in range(1, 16):
         x = k / 10
