@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 from collections.abc import Iterator
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import chain
 
@@ -103,7 +103,9 @@ def _x_grid(args) -> tuple[range, int]:
 
 
 _LOG10_2 = math.log10(2)
-_TEN16, _TEN17, _TEN18 = 10**16, 10**17, 10**18
+# The exact printer's rounding: str(Decimal(n) / Decimal(d)) at precision
+# 17, over the widest exponent range decimal has.
+_PRINT = Context(prec=17, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _format_ratio(n: int, d: int) -> str:
@@ -112,33 +114,20 @@ def _format_ratio(n: int, d: int) -> str:
     n/d, so the pair need not be reduced."""
     if n == 0:
         return "0"
-    sign, n = int(n < 0), abs(n)
+    sign, n = "-" if n < 0 else "", abs(n)
     # The bit lengths put log10(n/d) in an interval of width 2 log10(2) < 1,
-    # so this k gives 17 or 18 digits; the loop only guards the float estimate.
-    k = 17 - math.floor((n.bit_length() - d.bit_length() + 1) * _LOG10_2)
-    while True:
-        num, den = (n * 10**k, d) if k >= 0 else (n, d * 10**-k)
-        digits, rem = divmod(num, den)
-        if digits < _TEN16:
-            k += 1
-        elif digits >= _TEN18:
-            k -= 1
-        else:
-            break
-    exp = -k
-    if digits >= _TEN17:  # an 18th digit joins the remainder
-        digits, last = divmod(digits, 10)
-        rem, den, exp = rem + last * den, den * 10, exp + 1
+    # so the cut has 19 or 20 digits (18 if the float estimate is off by one).
+    k = 19 - math.floor((n.bit_length() - d.bit_length() + 1) * _LOG10_2)
+    digits, rem = divmod(n * 10**k, d) if k >= 0 else divmod(n, d * 10**-k)
     if rem:
-        twice = 2 * rem
-        if twice > den or (twice == den and digits & 1):
-            digits += 1
-            if digits == _TEN17:
-                digits, exp = _TEN16, exp + 1
+        # A final 1 stands for the nonzero remainder: with 18 or more digits
+        # cut, no 17-digit rounding boundary lies between it and n/d.
+        text = f"{sign}{digits}1E{-k - 1}"
     else:  # exact: Decimal strips trailing zeros down to exponent 0
-        while exp < 0 and digits % 10 == 0:
-            digits, exp = digits // 10, exp + 1
-    return str(Decimal((sign, tuple(map(int, str(digits))), exp)))
+        while k > 0 and digits % 10 == 0:
+            digits, k = digits // 10, k - 1
+        text = f"{sign}{digits}E{-k}"
+    return str(_PRINT.plus(Decimal(text)))
 
 
 def _float(name: str, n: int, d: int) -> float:
@@ -245,7 +234,6 @@ def cmd_coeffs(args) -> tuple[Iterator[str], int]:
             max_degree = goldberg.DEFAULT_MAX_DEGREE_THREE
         reports = goldberg.verify_three_letter(max_degree)
     rows = [["word", "closed_form", "oracle", "match"]]
-    failed = False
     for report in reports:
         rows.append(
             [
@@ -255,18 +243,14 @@ def cmd_coeffs(args) -> tuple[Iterator[str], int]:
                 "true" if report.match else "false",
             ]
         )
-        failed = failed or not report.match
-    return _csv(rows), 1 if failed else 0
+    return _csv(rows), int(any(row[-1] == "false" for row in rows))
 
 
 def cmd_verify(args) -> tuple[Iterator[str], int]:
     rows = [["invariant", "x", "residual", "pass"]]
-    failed = False
 
     def emit(name: str, x_text: str, residual: str, ok: bool):
-        nonlocal failed
         rows.append([name, x_text, residual, "pass" if ok else "fail"])
-        failed = failed or not ok
 
     series_tol = min(args.tol * 1e-2, _SERIES_TOL)
     relations_ok = all(ok for _, ok in check_generator_relations())
@@ -309,7 +293,7 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
                 signalled = True
             emit("divergence_signaled", x_text, "exact", signalled)
 
-    return _csv(rows), 1 if failed else 0
+    return _csv(rows), int(any(row[-1] == "fail" for row in rows))
 
 
 def cmd_simulate(args) -> tuple[Iterator[str], int]:

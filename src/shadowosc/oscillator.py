@@ -496,12 +496,13 @@ def spectral_radius(scheme: SchemeId, x: Scalar) -> float:
 
 
 def rotation_angle(scheme: SchemeId, x: Scalar) -> float:
-    """arccos(trace/2); the per-step phase advance in the elliptic regime.
-    NaN raises ValueError."""
+    """The per-step phase advance in the elliptic regime, arccos(trace/2)
+    taken as 2 arcsin(|x|/2) (trace = 2 - x^2), which keeps the digits of
+    small angles.  NaN raises ValueError."""
     trace = float(_map_trace(scheme, x))
     if abs(trace) > 2.0:
         raise NoEllipticLogError(f"|trace| = {abs(trace)} > 2: no rotation angle")
-    return math.acos(trace / 2.0)
+    return 2.0 * math.asin(abs(float(x)) / 2.0)
 
 
 # ---------------------------------------------------------------------------

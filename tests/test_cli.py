@@ -194,6 +194,21 @@ def test_format_ratio_matches_decimal_division(n, d, text):
         assert cli._format_ratio(n * factor, d * factor) == text
 
 
+@pytest.mark.parametrize(
+    "n, d, text",
+    [
+        (10**1000001, 3, "3.3333333333333333E+1000000"),
+        (-7, 10**1000001, "-7E-1000001"),
+        (1, 3 * 10**1000001, "3.3333333333333333E-1000002"),
+    ],
+    ids=["above_default_emax", "below_default_emin", "below_default_etiny"],
+)
+def test_format_ratio_beyond_default_exponent_range(n, d, text):
+    # decimal's default context overflows above 1E+999999 and drops digits
+    # below 1E-1000015, so decimal_reference cannot check these.
+    assert cli._format_ratio(n, d) == text
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     n=st.integers(min_value=-(10**60), max_value=10**60),

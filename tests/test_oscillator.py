@@ -444,6 +444,11 @@ def test_spectral_radius_values():
 def test_rotation_angle():
     assert rotation_angle(FIRST, 1.0) == pytest.approx(math.pi / 3, rel=1e-15)
     assert rotation_angle(FIRST, 2.0) == pytest.approx(math.pi, rel=1e-15)
+    # Small angles keep their digits, which arccos(1 - x^2/2) loses: it gives
+    # 1.0000000413743513e-05 at x = 1e-5 and 0.0 at x = 1e-9.
+    assert rotation_angle(FIRST, 1e-5) == pytest.approx(1.0000000000041668e-05, rel=1e-15)
+    assert rotation_angle(SECOND, -1e-5) == pytest.approx(1.0000000000041668e-05, rel=1e-15)
+    assert rotation_angle(FIRST, 1e-9) == 1e-09
     with pytest.raises(NoEllipticLogError):
         rotation_angle(FIRST, 3.0)
 

@@ -1,7 +1,9 @@
+import re
 import types
+from pathlib import Path
 
 import shadowosc
-from shadowosc import free_series, goldberg, oscillator
+from shadowosc import cli, free_series, goldberg, oscillator
 
 
 def test_star_import_binds_public_names_and_no_module():
@@ -21,3 +23,33 @@ def test_star_import_binds_public_names_and_no_module():
             getattr(module, name, None) is value
             for module in (free_series, goldberg, oscillator)
         ), name
+
+
+# The README's examples, run as written.
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
+
+
+def readme_block(start):
+    """The one README code block whose text starts with start."""
+    (body,) = [body for _, body in BLOCKS if body.startswith(start)]
+    return body
+
+
+def test_readme_library_example_runs():
+    (code,) = [body for lang, body in BLOCKS if lang == "python"]
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_simulate_transcript(capsys):
+    command, *rows = readme_block("$ shadowosc ").splitlines(keepends=True)
+    assert cli.main(command.split()[2:]) == 0
+    assert capsys.readouterr().out == "".join(rows)
+
+
+def test_readme_sweep_rows_appear_in_default_sweep(capsys):
+    header, *rows = readme_block("x,trace,").splitlines()
+    assert cli.main(["sweep", "--x-range", "0:3:0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    assert len(rows) == 3 and set(rows) <= set(lines[1:])
