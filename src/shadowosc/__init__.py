@@ -26,7 +26,6 @@ from .oscillator import (
     PhaseState,
     SchemeId,
     SeriesDivergesError,
-    ShadowForm,
     StabilityClass,
     check_generator_relations,
     classify_trace,
@@ -38,7 +37,6 @@ from .oscillator import (
     mat_exp,
     matrix_log_principal,
     orbit,
-    scaled_matrix,
     scaled_orbit,
     shadow_energy,
     shadow_form,

@@ -27,6 +27,7 @@ from .oscillator import (
     PhaseState,
     SchemeId,
     SeriesDivergesError,
+    _common_denominator,
     _scaled_matrices,
     check_generator_relations,
     classify_trace,
@@ -35,7 +36,6 @@ from .oscillator import (
     map_matrix,
     matrix_log_principal,
     rotation_angle,
-    scaled_matrix,
     scaled_orbit,
     shadow_form,
     spectral_radius,
@@ -154,7 +154,7 @@ def _float_orbit(args, scheme: SchemeId) -> Iterator[tuple[float, float, float]]
     x, p, q = (
         _float(name, *getattr(args, name).as_integer_ratio()) for name in ("x", "p0", "q0")
     )
-    a, b, c, d = map(float, shadow_form(scheme, x).m.entries())
+    a, b, c, d = map(float, shadow_form(scheme, x).entries())
     return _float_steps(scheme, x, p, q, a, b + c, d, args.steps)
 
 
@@ -201,10 +201,10 @@ def _exact_orbit(args, scheme: SchemeId):
     integers: the state is (P/E, Q/E), p^2 + q^2 = R/E^2 and its shadow
     energy N/M.  Each row takes three big products, P^2, Q^2 and PQ; E^2
     is carried from step to step."""
-    form, form_scale = scaled_matrix(shadow_form(scheme, args.x).m)
-    a, cross, d = form.a, form.b + form.c, form.d
+    (a, b, c, d), form_scale = _common_denominator(shadow_form(scheme, args.x).entries())
+    cross = b + c
     # scaled_orbit multiplies E by the map's denominator D on each step.
-    step_sq = scaled_matrix(map_matrix(scheme, args.x))[1] ** 2
+    step_sq = _common_denominator(map_matrix(scheme, args.x).entries())[1] ** 2
     scale_sq = None
     s0 = PhaseState(args.p0, args.q0)
     for (p, q), scale in scaled_orbit(s0, scheme, args.x, args.steps):
@@ -273,7 +273,8 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
             sign_ok = det * edge > 0 or det == edge == 0
             emit(f"shadow_det_sign_{label}", x_text, "exact", sign_ok)
 
-        if 0 < abs(n) < 2 * b:
+        # A nonzero x that rounds to 0.0 has the float map I: the rows of x = 0.
+        if x and abs(n) < 2 * b:
             scale = generator_scale(x, series_tol)
             for label, scheme in _SCHEMES.items():
                 logmat = matrix_log_principal(map_matrix(scheme, x))

@@ -195,13 +195,6 @@ def _common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in fractions], scale
 
 
-def scaled_matrix(m: Mat2) -> tuple[Mat2, int]:
-    """(K, D) with m = K / D for a matrix of rationals: K has integer
-    entries and D is the lcm of the entries' denominators."""
-    entries, scale = _common_denominator(m.entries())
-    return Mat2(*entries), scale
-
-
 def scaled_orbit(
     s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int
 ) -> Iterator[tuple[PhaseState, int]]:
@@ -209,14 +202,16 @@ def scaled_orbit(
     streamed: yields n_steps + 1 pairs (PhaseState(P, Q), E), the state
     being (P/E, Q/E).
 
-    With (K, D) = scaled_matrix(map_matrix(scheme, x)) one step is
-    (P, Q), E -> K (P, Q), D E, so no gcd is taken; the pairs are not
-    reduced (D is b^2 for the first scheme and 4 b^3 for the second at
-    x = a/b, at most).  x, p0 and q0 must be rational.
+    With map_matrix(scheme, x) = K / D, K integer and D the lcm of its
+    entries' denominators, one step is (P, Q), E -> K (P, Q), D E, so no
+    gcd is taken; the pairs are not reduced (D is b^2 for the first
+    scheme and 4 b^3 for the second at x = a/b, at most).  x, p0 and q0
+    must be rational.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    step, scale = scaled_matrix(map_matrix(scheme, x))
+    entries, scale = _common_denominator(map_matrix(scheme, x).entries())
+    step = Mat2(*entries)
     start, denominator = _common_denominator(s0)
     state = PhaseState(*start)
     yield state, denominator
@@ -229,7 +224,7 @@ def scaled_orbit(
 def _scaled_matrices(scheme: SchemeId, n: int, b: int) -> tuple[Mat2, int, Mat2, int, Mat2, int]:
     """At x = n/b (b >= 1), the map, the shadow form's matrix and the
     generator direction as integer matrices over known denominators:
-    (K, D, F, f, G, g) with map_matrix = K/D, shadow_form(...).m = F/f
+    (K, D, F, f, G, g) with map_matrix = K/D, shadow_form = F/f
     and generator_direction = G/g, no pair reduced.  It is to an x grid
     what scaled_orbit is to trajectory(): no Fraction is built.
     """
@@ -414,39 +409,20 @@ def mat_exp(m: Mat2) -> Mat2:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShadowForm:
-    """Symmetric matrix M of the conserved quadratic form (p q) M (p q)^t."""
-
-    m: Mat2
-
-    def __post_init__(self):
-        if self.m.b != self.m.c:
-            raise ValueError(f"shadow form must be symmetric, got {self.m!r}")
-
-    def energy(self, s: PhaseState):
-        return (
-            self.m.a * s.p * s.p
-            + (self.m.b + self.m.c) * s.p * s.q
-            + self.m.d * s.q * s.q
-        )
-
-    def det(self):
-        return self.m.det()
-
-
-def shadow_form(scheme: SchemeId, x: Scalar) -> ShadowForm:
-    """The conserved form of each scheme; exists for every x, but is
-    positive definite only for |x| < 2."""
+def shadow_form(scheme: SchemeId, x: Scalar) -> Mat2:
+    """The symmetric matrix M of each scheme's conserved quadratic form
+    (p q) M (p q)^t; exists for every x, but is positive definite only
+    for |x| < 2."""
     if scheme is SchemeId.FIRST_ORDER:
         off = -QUARTER * x
-        return ShadowForm(Mat2(HALF, off, off, HALF))
-    return ShadowForm(Mat2(HALF, 0, 0, HALF * (1 - QUARTER * x * x)))
+        return Mat2(HALF, off, off, HALF)
+    return Mat2(HALF, 0, 0, HALF * (1 - QUARTER * x * x))
 
 
 def shadow_energy(s: PhaseState, scheme: SchemeId, x: Scalar):
     """The step-size-dependent energy the discrete map conserves exactly."""
-    return shadow_form(scheme, x).energy(s)
+    m = shadow_form(scheme, x)
+    return m.a * s.p * s.p + (m.b + m.c) * s.p * s.q + m.d * s.q * s.q
 
 
 # ---------------------------------------------------------------------------

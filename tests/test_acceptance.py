@@ -137,7 +137,7 @@ def test_criterion_08_growth_and_boundedness():
         radius = (x * x - 2 + x * math.sqrt(x * x - 4)) / 2
         ok = ok and abs(rate - math.log(radius)) <= 0.01 * math.log(radius)
     for x in (0.5, 1.0, 1.5):
-        two_m = 2.0 * shadow_form(FIRST, x).m
+        two_m = 2.0 * shadow_form(FIRST, x)
         a, b, _, d = (float(v) for v in two_m.entries())
         lam_min = (a + d - math.sqrt((a - d) ** 2 + 4 * b * b)) / 2
         state = PhaseState(1.0, 0.0)
@@ -159,7 +159,7 @@ def test_criterion_09_structural_identities():
         x = Fraction(rng.randint(-96, 96), rng.randint(1, 12))
         for scheme in (FIRST, SECOND):
             ok = ok and map_matrix(scheme, x).det() == 1
-            product = shadow_form(scheme, x).m @ generator_direction(scheme, x)
+            product = shadow_form(scheme, x) @ generator_direction(scheme, x)
             ok = ok and product.transpose() + product == Mat2.zero()
     check(9, "nilpotent relations, unit Jacobian, antisymmetric M L", ok)
 

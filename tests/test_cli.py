@@ -103,6 +103,17 @@ def test_verify_single_x(capsys):
         assert "divergence_signaled" not in names
 
 
+def test_verify_x_that_rounds_to_zero_prints_the_rows_of_zero(capsys):
+    # 0 < 1e-400 < 2, but its float is 0.0, whose map is I: no log row.
+    zero = run_cli(capsys, "verify", "--x", "0")
+    assert zero[0] == 0
+    assert run_cli(capsys, "verify", "--x", "1e-400") == zero
+    code, out = run_cli(capsys, "verify", "--x-range", "0:1e-399:1e-400")
+    assert code == 0
+    assert len(parse_csv(out)) == 2 + 6 * 11
+    assert "log_vs_generator" not in out
+
+
 def test_verify_detects_broken_identity(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "check_generator_relations", lambda: [("A^2 = 0", False)]
@@ -491,7 +502,7 @@ def reference_grid_rows(command, scheme, xs, tol=1e-12):
         x_text = repr(float(x))
         for label, scheme in schemes.items():
             form = shadow_form(scheme, x)
-            product = form.m @ generator_direction(scheme, x)
+            product = form @ generator_direction(scheme, x)
             checks = {
                 "det_map": map_matrix(scheme, x).det() == 1,
                 "antisymmetry": product.transpose() + product == Mat2.zero(),

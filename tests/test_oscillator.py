@@ -15,8 +15,8 @@ from shadowosc.oscillator import (
     PhaseState,
     SchemeId,
     SeriesDivergesError,
-    ShadowForm,
     StabilityClass,
+    _common_denominator,
     _scaled_matrices,
     check_generator_relations,
     classify_trace,
@@ -29,7 +29,6 @@ from shadowosc.oscillator import (
     mat_exp,
     matrix_log_principal,
     rotation_angle,
-    scaled_matrix,
     scaled_orbit,
     shadow_energy,
     shadow_form,
@@ -341,15 +340,10 @@ def test_mat_exp_hyperbolic_and_nilpotent_branches():
 
 def test_shadow_form_values():
     form = shadow_form(FIRST, Fraction(1))
-    assert form.m == Mat2(Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 2))
-    assert shadow_form(FIRST, 0).m == Mat2(Fraction(1, 2), 0, 0, Fraction(1, 2))
+    assert form == Mat2(Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 2))
+    assert shadow_form(FIRST, 0) == Mat2(Fraction(1, 2), 0, 0, Fraction(1, 2))
     second = shadow_form(SECOND, Fraction(1))
-    assert second.m == Mat2(Fraction(1, 2), 0, 0, Fraction(3, 8))
-
-
-def test_shadow_form_requires_symmetry():
-    with pytest.raises(ValueError):
-        ShadowForm(Mat2(1, 2, 3, 4))
+    assert second == Mat2(Fraction(1, 2), 0, 0, Fraction(3, 8))
 
 
 def test_shadow_energy_formulas():
@@ -393,7 +387,7 @@ def test_form_times_direction_is_antisymmetric():
     for scheme in (FIRST, SECOND):
         for _ in range(50):
             x = random_rational(rng, bound=8)
-            product = shadow_form(scheme, x).m @ generator_direction(scheme, x)
+            product = shadow_form(scheme, x) @ generator_direction(scheme, x)
             assert product.transpose() + product == Mat2.zero()
 
 
@@ -405,7 +399,7 @@ def test_form_times_direction_determinant_identity():
         for _ in range(10):
             x = random_rational(rng)
             direction = generator_direction(scheme, x)
-            product = shadow_form(scheme, x).m @ direction
+            product = shadow_form(scheme, x) @ direction
             assert product == (direction.det() / 2) * rotation
 
 
@@ -489,12 +483,21 @@ def test_exact_shadow_conservation_long_runs():
             assert all(shadow_energy(s, scheme, x) == e0 for s in states)
 
 
-def test_scaled_matrix_is_integer_over_lcm():
-    k, scale = scaled_matrix(map_matrix(SECOND, Fraction(1, 3)))
-    assert scale == 4 * 27
-    assert all(isinstance(v, int) for v in k.entries())
-    assert Mat2(*(Fraction(v, scale) for v in k.entries())) == map_matrix(SECOND, Fraction(1, 3))
-    assert scaled_matrix(map_matrix(FIRST, Fraction(5, 2))) == (Mat2(4, -10, 10, -21), 4)
+def test_scaled_orbit_step_is_integer_over_lcm():
+    # One step from a unit vector over 1 is a column of K over D, where
+    # map_matrix = K / D with D the lcm of the entries' denominators.
+    def first_step(scheme, x, s0):
+        return list(scaled_orbit(PhaseState(*s0), scheme, x, 1))[1]
+
+    x = Fraction(1, 3)
+    k = map_matrix(SECOND, x)
+    for s0, column in (((1, 0), (k.a, k.c)), ((0, 1), (k.b, k.d))):
+        state, scale = first_step(SECOND, x, s0)
+        assert scale == 4 * 27
+        assert all(isinstance(v, int) for v in state)
+        assert (Fraction(state.p, scale), Fraction(state.q, scale)) == column
+    assert first_step(FIRST, Fraction(5, 2), (1, 0)) == (PhaseState(4, 10), 4)
+    assert first_step(FIRST, Fraction(5, 2), (0, 1)) == (PhaseState(-10, -21), 4)
 
 
 @pytest.mark.parametrize("scheme", [FIRST, SECOND])
@@ -506,10 +509,11 @@ def test_scaled_orbit_equals_trajectory(scheme, x):
     states = trajectory(s0, scheme, x, 50)
     orbit = list(scaled_orbit(s0, scheme, x, 50))
     assert len(orbit) == len(states)
-    form, form_scale = scaled_matrix(shadow_form(scheme, x).m)
+    (a, b, c, d), form_scale = _common_denominator(shadow_form(scheme, x).entries())
     for (state, scale), reference in zip(orbit, states):
         assert (Fraction(state.p, scale), Fraction(state.q, scale)) == reference
-        energy = Fraction(ShadowForm(form).energy(state), form_scale * scale * scale)
+        p, q = state
+        energy = Fraction(a * p * p + (b + c) * p * q + d * q * q, form_scale * scale * scale)
         assert energy == shadow_energy(reference, scheme, x)
 
 
@@ -527,7 +531,7 @@ def test_scaled_matrices_equal_fraction_reference(scheme, n, b):
     mat, mat_scale, form, form_scale, direction, direction_scale = _scaled_matrices(scheme, n, b)
     pairs = (
         (mat, mat_scale, map_matrix(scheme, x)),
-        (form, form_scale, shadow_form(scheme, x).m),
+        (form, form_scale, shadow_form(scheme, x)),
         (direction, direction_scale, generator_direction(scheme, x)),
     )
     for scaled, scale, reference in pairs:
@@ -543,10 +547,10 @@ def test_scaled_matrices_equal_fraction_reference(scheme, n, b):
     q0=small_rationals,
 )
 def test_scaled_orbit_conserves_energy_exactly(scheme, x, p0, q0):
-    form, form_scale = scaled_matrix(shadow_form(scheme, x).m)
+    (a, b, c, d), form_scale = _common_denominator(shadow_form(scheme, x).entries())
     energies = {
-        Fraction(ShadowForm(form).energy(state), form_scale * scale * scale)
-        for state, scale in scaled_orbit(PhaseState(p0, q0), scheme, x, 40)
+        Fraction(a * p * p + (b + c) * p * q + d * q * q, form_scale * scale * scale)
+        for (p, q), scale in scaled_orbit(PhaseState(p0, q0), scheme, x, 40)
     }
     assert len(energies) == 1
 
@@ -586,7 +590,7 @@ def test_bounded_orbits_inside_radius():
     # eigenvalue comes from the generic symmetric 2x2 formula.
     for scheme in (FIRST, SECOND):
         for x in (0.5, 1.0, 1.5, 1.9):
-            two_m = 2.0 * shadow_form(scheme, float(x)).m
+            two_m = 2.0 * shadow_form(scheme, float(x))
             a, b, _, d = (float(v) for v in two_m.entries())
             lam_min = (a + d - math.sqrt((a - d) ** 2 + 4 * b * b)) / 2
             s = PhaseState(1.0, 0.0)

@@ -25,6 +25,24 @@ def test_star_import_binds_public_names_and_no_module():
         ), name
 
 
+def test_public_names_are_pinned():
+    # A public name goes only by a deliberate edit of this list.
+    assert sorted(shadowosc.__all__) == [
+        "AlternatingWord", "CoeffReport", "FreeSeries", "Mat2", "NoEllipticLogError",
+        "PhaseState", "SchemeId", "SeriesDivergesError", "StabilityClass",
+        "StrangCollapse", "ThreeWordPattern", "TwoLetterCollapse",
+        "check_generator_relations", "classify_trace", "collapse_strang",
+        "collapse_two_letter", "collapse_word", "effective_generator",
+        "estimate_radius", "generator_direction", "generator_scale",
+        "generator_scale_closed_form", "goldberg_coeff_three", "goldberg_coeff_two",
+        "log_exp_product", "map_matrix", "mat_exp", "matrix_log_principal", "orbit",
+        "scale_series_coeff", "scaled_orbit", "series_exp", "series_log",
+        "series_mul", "shadow_energy", "shadow_form", "spectral_radius",
+        "stability_classify", "step_first_order", "step_second_order",
+        "trajectory", "verify_three_letter", "verify_two_letter",
+    ]
+
+
 # The README's examples, run as written.
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
