@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
@@ -199,18 +200,28 @@ def _csv(rows) -> Iterator[str]:
 def _exact_orbit(args, scheme: SchemeId):
     """The exact orbit, streamed as (P, Q, E, R, E^2, (N, M)), all
     integers: the state is (P/E, Q/E), p^2 + q^2 = R/E^2 and its shadow
-    energy N/M.  Each row takes three big products, P^2, Q^2 and PQ; E^2
-    is carried from step to step."""
+    energy N/M, with N = a P^2 + (b + c) PQ + d Q^2 over the form's
+    common denominator.  P^2, PQ and Q^2 are squared once, at step 0.
+    scaled_orbit steps (P, Q), E -> K (P, Q), D E, so the products are
+    carried by K's symmetric square and E^2 by D^2: each row costs small
+    times big products only, linear in the state's size."""
     (a, b, c, d), form_scale = _common_denominator(shadow_form(scheme, args.x).entries())
     cross = b + c
-    # scaled_orbit multiplies E by the map's denominator D on each step.
-    step_sq = _common_denominator(map_matrix(scheme, args.x).entries())[1] ** 2
-    scale_sq = None
+    (k11, k12, k21, k22), step = _common_denominator(map_matrix(scheme, args.x).entries())
+    sym = (
+        (k11 * k11, 2 * k11 * k12, k12 * k12),
+        (k11 * k21, k11 * k22 + k12 * k21, k12 * k22),
+        (k21 * k21, 2 * k21 * k22, k22 * k22),
+    )
+    step_sq, scale_sq = step * step, None
     s0 = PhaseState(args.p0, args.q0)
     for (p, q), scale in scaled_orbit(s0, scheme, args.x, args.steps):
-        scale_sq = scale * scale if scale_sq is None else scale_sq * step_sq
-        p_sq, q_sq = p * p, q * q
-        energy = a * p_sq + cross * p * q + d * q_sq
+        if scale_sq is None:
+            p_sq, pq, q_sq, scale_sq = p * p, p * q, q * q, scale * scale
+        else:
+            p_sq, pq, q_sq = [u * p_sq + v * pq + w * q_sq for u, v, w in sym]
+            scale_sq *= step_sq
+        energy = a * p_sq + cross * pq + d * q_sq
         yield p, q, scale, p_sq + q_sq, scale_sq, (energy, form_scale * scale_sq)
 
 
@@ -420,6 +431,26 @@ def _add_x_choice(parser):
     )
 
 
+# argparse takes a value after an option for another option unless it reads
+# as -N or -N.N, so "--x -1/2" and "--x -1e-3" would fail.  Such a value,
+# "-" then a digit or ".", is glued to its option (or an abbreviation of
+# it, which argparse accepts too) as "--x=-1/2", always read as a value.
+_RATIONAL_OPTIONS = ("--x", "--p0", "--q0", "--x-range")
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    glued: list[str] = []
+    for arg in argv:
+        option = glued[-1] if glued else ""
+        rational = len(option) > 2 and any(name.startswith(option) for name in _RATIONAL_OPTIONS)
+        if rational and _NEGATIVE.match(arg):
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    return glued
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowosc",
@@ -476,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         lines, code = args.handler(args)
     except ValueError as exc:  # bad parameter combinations are usage errors

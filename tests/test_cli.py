@@ -1,3 +1,4 @@
+import argparse
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -307,6 +308,103 @@ def test_simulate_and_shadow_memory_does_not_grow_with_steps(tmp_path):
         assert code == 0
         assert peak < 2 * 2**20, (argv, peak)
         assert target.read_bytes().count(b"\n") == 20002
+
+
+def exact_orbit_args(x, start, steps):
+    p0, q0 = (Fraction(v) for v in start)
+    return argparse.Namespace(x=Fraction(x), p0=p0, q0=q0, steps=steps)
+
+
+def energy_form(scheme, x):
+    """(a, b + c, d) and the common denominator of shadow_form(scheme, x)."""
+    (a, b, c, d), scale = oscillator._common_denominator(shadow_form(scheme, x).entries())
+    return (a, b + c, d), scale
+
+
+# 2/3 has an even numerator, so the map's common denominator is reduced;
+# 123456789/1000000007 gives large step coefficients.
+CARRY_XS = ["5/2", "1/3", "2/3", "-7/3", "2", "0", "123456789/1000000007"]
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+@pytest.mark.parametrize("x", CARRY_XS)
+def test_exact_orbit_carried_squares_equal_direct_squares(x, scheme):
+    (a, cross, d), form_scale = energy_form(scheme, Fraction(x))
+    starts = [(1, 0), ("-3/5", "2/7"), (0, 0)]
+    if x == "5/2" and scheme is SchemeId.FIRST_ORDER:
+        starts.append((2, 1))  # an eigenvector with shadow energy 0
+    for start in starts:
+        rows = list(cli._exact_orbit(exact_orbit_args(x, start, 300), scheme))
+        assert len(rows) == 301
+        for p, q, scale, norm, scale_sq, (energy, energy_scale) in rows:
+            assert norm == p * p + q * q
+            assert scale_sq == scale * scale
+            assert energy == a * p * p + cross * p * q + d * q * q
+            assert energy_scale == form_scale * scale_sq
+        if start == (2, 1):
+            assert {row[-1][0] for row in rows} == {0}
+
+
+def test_exact_simulate_zero_steps_is_one_row(capsys):
+    code, out = run_cli(capsys, "simulate", "--x", "5/2", "--steps", "0", "--exact")
+    assert code == 0
+    assert out == "step,p,q,shadow_energy,p2_plus_q2\n0,1,0,0.5,1\n"
+
+
+def integer_power(m, n):
+    """m^n for an integer Mat2, by binary powering."""
+    result = Mat2.identity()
+    while n:
+        if n & 1:
+            result = result @ m
+        m, n = m @ m, n >> 1
+    return result
+
+
+@pytest.mark.parametrize(
+    "x, scheme", [("5/2", SchemeId.FIRST_ORDER), ("1/3", SchemeId.SECOND_ORDER)]
+)
+def test_exact_orbit_far_row_matches_map_power(x, scheme):
+    steps, start = 4000, ("-3/5", "2/7")
+    args = exact_orbit_args(x, start, steps)
+    *_, row = cli._exact_orbit(args, scheme)
+    entries, step = oscillator._common_denominator(map_matrix(scheme, args.x).entries())
+    (p0, q0), scale0 = oscillator._common_denominator((args.p0, args.q0))
+    p, q = integer_power(Mat2(*entries), steps).apply(PhaseState(p0, q0))
+    scale = scale0 * step**steps
+    (a, cross, d), form_scale = energy_form(scheme, args.x)
+    energy = a * p * p + cross * p * q + d * q * q
+    assert row == (p, q, scale, p * p + q * q, scale * scale, (energy, form_scale * scale * scale))
+    # The exact energy is conserved: the far row's value is step 0's.
+    assert Fraction(energy, form_scale * scale * scale) == shadow_energy(
+        PhaseState(args.p0, args.q0), scheme, args.x
+    )
+
+
+# Each value starts with "-" and a digit or ".", which argparse would read
+# as an option after a space.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--x", "-1/2"],
+        ["simulate", "--exact", "--p0", "-3/5"],
+        ["simulate", "--x", "-1e-3"],
+        ["sweep", "--x-range", "-1:1:1/2"],
+        ["sweep", "--x-r", "-1:1:1/2"],  # an abbreviation argparse accepts
+    ],
+)
+def test_negative_value_after_a_space(capsys, argv):
+    *head, option, value = argv
+    glued = run_cli(capsys, *head, f"{option}={value}")
+    assert glued[0] == 0
+    assert run_cli(capsys, *argv) == glued
+
+
+def test_option_after_value_option_is_still_an_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["simulate", "--x", "-h"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_float_text_cache_keeps_signed_zeros_apart():
