@@ -42,15 +42,15 @@ from .oscillator import (
     spectral_radius,
 )
 
-_SCHEMES = {"first": SchemeId.FIRST_ORDER, "second": SchemeId.SECOND_ORDER}
-
 # Larger --x-range grids are refused before any sample is built.
 MAX_X_SAMPLES = 10**6
 
-# Largest coeffs --max-degree per letter count.  The oracle's time grows
+# coeffs --max-degree per letter count: the default, high enough for n <= 5
+# in every closed-form sequence, and the largest.  The oracle's time grows
 # about 2x per degree for two letters and 3-4x for three: 0.3 s / 25 MB
 # at two letters, degree 14, and 0.6 s / 40 MB at three letters, degree
 # 10, on Python 3.11 (2-vCPU KVM Xeon guest).
+_DEFAULT_DEGREE = {2: 12, 3: 8}
 MAX_DEGREE = {2: 14, 3: 10}
 
 
@@ -61,10 +61,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _positive_float(text: str) -> float:
+def _tol(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    if not value * 1e-2:  # verify's series tolerance
+        raise argparse.ArgumentTypeError(f"too small, its hundredth underflows to 0.0: {text!r}")
     return value
 
 
@@ -94,13 +96,10 @@ def _x_range(text: str) -> tuple[range, int]:
     return range(first, first + count * stride, stride), b
 
 
-def _x_grid(args) -> tuple[range, int]:
-    """Ascending sample numerators over one denominator b; a single --x
-    wins over the range."""
-    if args.x is not None:
-        n, b = args.x.as_integer_ratio()
-        return range(n, n + 1), b
-    return args.x_range
+def _x_sample(text: str) -> tuple[range, int]:
+    """One x as the one-sample grid of _x_range."""
+    n, b = _rational(text).as_integer_ratio()
+    return range(n, n + 1), b
 
 
 _LOG10_2 = math.log10(2)
@@ -232,20 +231,16 @@ def _exact_orbit(args, scheme: SchemeId):
 
 def cmd_coeffs(args) -> tuple[Iterator[str], int]:
     max_degree, budget = args.max_degree, MAX_DEGREE[args.letters]
-    if max_degree is not None and max_degree > budget:
+    if max_degree is None:
+        max_degree = _DEFAULT_DEGREE[args.letters]
+    elif max_degree > budget:
         raise ValueError(
             f"--max-degree {max_degree} is above the budget of {budget} for {args.letters} letters"
         )
-    if args.letters == 2:
-        if max_degree is None:
-            max_degree = goldberg.DEFAULT_MAX_DEGREE_TWO
-        reports = goldberg.verify_two_letter(max_degree)
-    else:
-        if max_degree is None:
-            max_degree = goldberg.DEFAULT_MAX_DEGREE_THREE
-        reports = goldberg.verify_three_letter(max_degree)
+    # Looked up per call, so a wrapper set on the module is the one run.
+    verify = goldberg.verify_two_letter if args.letters == 2 else goldberg.verify_three_letter
     rows = [["word", "closed_form", "oracle", "match"]]
-    for report in reports:
+    for report in verify(max_degree):
         rows.append(
             [
                 report.word,
@@ -267,32 +262,32 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
     relations_ok = all(ok for _, ok in check_generator_relations())
     emit("generator_relations", "", "exact", relations_ok)
 
-    numerators, b = _x_grid(args)
+    numerators, b = args.x_range
     for n in numerators:
         x = _float("x", n, b)
         x_text = repr(x)
         # 2 - |x| = edge / b, so the form's determinant must share edge's sign.
         edge = 2 * b - abs(n)
-        for label, scheme in _SCHEMES.items():
+        for scheme in SchemeId:
             mat, mat_scale, form, _, direction, _ = _scaled_matrices(scheme, n, b)
-            emit(f"det_map_{label}", x_text, "exact", mat.det() == mat_scale * mat_scale)
+            emit(f"det_map_{scheme.value}", x_text, "exact", mat.det() == mat_scale * mat_scale)
 
             product = form @ direction
             skew = product.transpose() + product
-            emit(f"antisymmetry_{label}", x_text, "exact", skew == skew.zero())
+            emit(f"antisymmetry_{scheme.value}", x_text, "exact", skew == skew.zero())
             det = form.det()
             sign_ok = det * edge > 0 or det == edge == 0
-            emit(f"shadow_det_sign_{label}", x_text, "exact", sign_ok)
+            emit(f"shadow_det_sign_{scheme.value}", x_text, "exact", sign_ok)
 
         # A nonzero x that rounds to 0.0 has the float map I: the rows of x = 0.
         if x and abs(n) < 2 * b:
             scale = generator_scale(x, series_tol)
-            for label, scheme in _SCHEMES.items():
+            for scheme in SchemeId:
                 logmat = matrix_log_principal(map_matrix(scheme, x))
                 target = (x * scale) * generator_direction(scheme, x)
                 residual = logmat.max_abs_diff(target)
                 emit(
-                    f"log_vs_generator_{label}",
+                    f"log_vs_generator_{scheme.value}",
                     x_text,
                     repr(residual),
                     residual <= args.tol,
@@ -309,7 +304,7 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
 
 
 def cmd_simulate(args) -> tuple[Iterator[str], int]:
-    scheme = _SCHEMES[args.scheme]
+    scheme = SchemeId(args.scheme)
     if args.exact:
         lines = (
             f"{step},{_format_ratio(p, scale)},{_format_ratio(q, scale)},"
@@ -346,17 +341,16 @@ def _drift_rows(orbits, cells):
 
 
 def cmd_shadow(args) -> tuple[Iterator[str], int]:
-    schemes = (SchemeId.FIRST_ORDER, SchemeId.SECOND_ORDER)
     header = ["step", "first_energy", "first_drift", "second_energy", "second_drift"]
     if args.exact:
-        orbits, cells = [_exact_orbit(args, scheme) for scheme in schemes], _exact_cells
+        orbits, cells = [_exact_orbit(args, scheme) for scheme in SchemeId], _exact_cells
     else:
-        orbits, cells = [_float_orbit(args, scheme) for scheme in schemes], _FloatText().cells
+        orbits, cells = [_float_orbit(args, scheme) for scheme in SchemeId], _FloatText().cells
     return _csv(chain([header], _drift_rows(orbits, cells))), 0
 
 
 def cmd_sweep(args) -> tuple[Iterator[str], int]:
-    scheme = _SCHEMES[args.scheme]
+    scheme = SchemeId(args.scheme)
     rows = [
         [
             "x",
@@ -368,7 +362,7 @@ def cmd_sweep(args) -> tuple[Iterator[str], int]:
             "theta",
         ]
     ]
-    numerators, b = _x_grid(args)
+    numerators, b = args.x_range
     for n in numerators:
         x = _float("x", n, b)
         mat, mat_scale, form, form_scale, _, _ = _scaled_matrices(scheme, n, b)
@@ -402,7 +396,7 @@ def cmd_sweep(args) -> tuple[Iterator[str], int]:
 
 def _add_scheme(parser):
     parser.add_argument(
-        "--scheme", choices=sorted(_SCHEMES), default="first", help="integrator scheme"
+        "--scheme", choices=[s.value for s in SchemeId], default="first", help="integrator scheme"
     )
 
 
@@ -421,8 +415,12 @@ def _add_x(parser):
 
 
 def _add_x_choice(parser):
-    parser.add_argument("--x", type=_rational, default=None, help="single time step")
-    parser.add_argument(
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument(
+        "--x", type=_x_sample, dest="x_range", metavar="X", default=argparse.SUPPRESS,
+        help="single time step",
+    )
+    group.add_argument(
         "--x-range",
         type=_x_range,
         default=_x_range("0:3:0.1"),
@@ -461,13 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     coeffs = sub.add_parser("coeffs", help="check word coefficients against the oracle")
-    coeffs.add_argument("--letters", type=int, choices=(2, 3), default=2)
+    coeffs.add_argument("--letters", type=int, choices=sorted(MAX_DEGREE), default=2)
     coeffs.add_argument(
         "--max-degree",
         type=int,
         default=None,
-        help="truncation order (default 12 for two letters, 8 for three; "
-        f"at most {MAX_DEGREE[2]} and {MAX_DEGREE[3]})",
+        help=f"truncation order (default {_DEFAULT_DEGREE[2]} for two letters, "
+        f"{_DEFAULT_DEGREE[3]} for three; at most {MAX_DEGREE[2]} and {MAX_DEGREE[3]})",
     )
     coeffs.set_defaults(handler=cmd_coeffs)
 
@@ -475,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_x_choice(verify)
     verify.add_argument(
         "--tol",
-        type=_positive_float,
+        type=_tol,
         default=1e-12,
         help="absolute gate on log_vs_generator residuals (default 1e-12); rows "
         "from about x = 1.918 on fail it because the scale series stops on its "

@@ -29,11 +29,6 @@ X1, X2, X3 = 0, 1, 2
 
 _SUBSCRIPT_TO_LETTER = {1: X1, 2: X2, 3: X3}
 
-# Default truncation orders: high enough for n <= 5 in every closed-form
-# sequence while keeping exact-arithmetic runs at a few seconds.
-DEFAULT_MAX_DEGREE_TWO = 12
-DEFAULT_MAX_DEGREE_THREE = 8
-
 
 def scale_series_coeff(n: int) -> Fraction:
     """n-th coefficient (n!)^2 / (2n+1)! of the even generator-scale series."""

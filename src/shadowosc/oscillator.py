@@ -143,12 +143,6 @@ def step_second_order(s: PhaseState, x: Scalar) -> PhaseState:
     return PhaseState(p, q)
 
 
-_STEPPERS = {
-    SchemeId.FIRST_ORDER: step_first_order,
-    SchemeId.SECOND_ORDER: step_second_order,
-}
-
-
 def _map_diagonal(scheme: SchemeId, x: Scalar) -> tuple:
     """(a, d), the diagonal of map_matrix(scheme, x).  The trace needs
     nothing else, and a float x too large for x**3 still has one."""
@@ -171,7 +165,7 @@ def orbit(s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int) -> Iterator
     at s0, holding only the current one."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    step = _STEPPERS[scheme]
+    step = step_first_order if scheme is SchemeId.FIRST_ORDER else step_second_order
     yield s0
     for _ in range(n_steps):
         s0 = step(s0, x)

@@ -29,6 +29,7 @@ from shadowosc.oscillator import (
     generator_scale_closed_form,
     map_matrix,
     matrix_log_principal,
+    scaled_orbit,
     shadow_energy,
     shadow_form,
     step_first_order,
@@ -169,3 +170,65 @@ def test_criterion_10_period_six():
     states = trajectory(s0, FIRST, Fraction(1), 6)
     ok = states[6] == s0 and states[0] == s0 and len(set(states[:6])) == 6
     check(10, "x = 1 first-order orbit returns exactly after 6 steps", ok)
+
+
+def growth_flags(orbit):
+    """Per step n of scaled_orbit's pairs ((P, Q), E), whether |p| and |q|
+    grow from step n to n + 1: |P'/E'| > |P/E| is |P'| E > |P| E', E > 0."""
+    return [
+        (abs(p1) * e0 > abs(p0) * e1, abs(q1) * e0 > abs(q0) * e1)
+        for ((p0, q0), e0), ((p1, q1), e1) in zip(orbit, orbit[1:])
+    ]
+
+
+def chebyshev_states(scheme, x, steps):
+    """The orbit from (1, 0) in Chebyshev form, s = 1 - x^2/2: q_n =
+    x U_{n-1}(s), and p_n = U_{n-1}(s) - U_{n-2}(s) (first scheme) or
+    T_n(s) (second scheme)."""
+    s = 1 - x * x / 2
+    u = [Fraction(-1), Fraction(0)]  # U_{-2}, U_{-1}; u[k] is U_{k-2}
+    t = [Fraction(1), s]  # t[k] is T_k
+    for _ in range(steps):
+        u.append(2 * s * u[-1] - u[-2])
+        t.append(2 * s * t[-1] - t[-2])
+    return [
+        (u[n + 1] - u[n] if scheme is FIRST else t[n], x * u[n + 1]) for n in range(steps + 1)
+    ]
+
+
+def test_criterion_11_monotone_growth_exact():
+    # The abstract's third claim, in integers.  From (1, 0) the orbit is
+    # the Chebyshev form above at every n, and for |s| > 1 (|x| > 2) the
+    # magnitudes |U_k| and |T_k| increase (Mason & Handscomb, Chebyshev
+    # Polynomials, 1.2); the first 200 steps are checked outright.
+    steps = 200
+    xs = [Fraction(v) for v in ("20001/10000", "201/100", "9/4", "7/3", "5/2", "3", "100", "-5/2")]
+    s0 = PhaseState(Fraction(1), Fraction(0))
+    ok = True
+    for scheme in (FIRST, SECOND):
+        for x in xs:
+            orbit = list(scaled_orbit(s0, scheme, x, steps))
+            flags = growth_flags(orbit)
+            # In the first scheme p_1 = p_0 = 1, so |p| grows from step 1.
+            ok = ok and all(q_grows for _, q_grows in flags)
+            ok = ok and all(p_grows for p_grows, _ in flags[scheme is FIRST:])
+            ok = ok and flags[0][0] is (scheme is SECOND)
+            ok = ok and 1 - x * x / 2 < -1
+            for ((big_p, big_q), e), (p, q) in zip(orbit, chebyshev_states(scheme, x, steps)):
+                ok = ok and big_p * p.denominator == p.numerator * e
+                ok = ok and big_q * q.denominator == q.numerator * e
+    # Not every start grows: (2, 1) at x = 5/2 has shadow energy 0 and is
+    # an eigenvector of the first-order map, eigenvalue -1/4.
+    x = Fraction(5, 2)
+    start = PhaseState(Fraction(2), Fraction(1))
+    ok = ok and shadow_energy(start, FIRST, x) == 0
+    orbit = list(scaled_orbit(start, FIRST, x, steps))
+    for ((p0, q0), e0), ((p1, q1), e1) in zip(orbit, orbit[1:]):
+        ok = ok and -4 * p1 * e0 == p0 * e1 and -4 * q1 * e0 == q0 * e1
+    # Off that line the energy is nonzero: |p| and |q| shrink for five
+    # steps, then grow at every step.
+    start = PhaseState(Fraction(2), Fraction(1) + Fraction(1, 10**6))
+    ok = ok and shadow_energy(start, FIRST, x) != 0
+    flags = growth_flags(list(scaled_orbit(start, FIRST, x, steps)))
+    ok = ok and flags == [(False, False)] * 5 + [(True, True)] * (steps - 5)
+    check(11, "|p| and |q| grow exactly for |x| > 2 from (1, 0)", ok)

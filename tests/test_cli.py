@@ -568,6 +568,27 @@ def test_usage_errors_exit_two():
         assert cli.main(argv) == 2
 
 
+def test_x_and_x_range_are_exclusive(capsys):
+    for command in ("verify", "sweep"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--x", "1", "--x-range", "0:1:1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --x" in captured.err
+
+
+def test_tol_whose_hundredth_underflows_is_a_usage_error(capsys):
+    # verify's series tolerance is tol / 100, 0.0 below about 2.5e-322.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--x", "1/2", "--tol", "1e-322"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tol" in captured.err and "'1e-322'" in captured.err
+    assert run_cli(capsys, "verify", "--x", "1/2", "--tol", "4e-322")[0] == 0
+
+
 def reference_grid_rows(command, scheme, xs, tol=1e-12):
     """verify (both schemes) or sweep (one scheme) rows and exit code,
     with every exact column computed on Fractions from map_matrix,
