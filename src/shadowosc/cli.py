@@ -61,15 +61,6 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _tol(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
-    if not value * 1e-2:  # verify's series tolerance
-        raise argparse.ArgumentTypeError(f"too small, its hundredth underflows to 0.0: {text!r}")
-    return value
-
-
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -139,8 +130,9 @@ def _float(name: str, n: int, d: int) -> float:
         raise ValueError(f"{name} = {_format_ratio(n, d)} is too large for a float") from None
 
 
-# Scale-series tolerance; verify also keeps it 100x below its gate, so
-# series truncation never decides a comparison.
+# verify's absolute gate on log_vs_generator residuals, and the scale
+# series' tolerance 100x below it, so truncation never decides a comparison.
+_LOG_TOL = 1e-12
 _SERIES_TOL = 1e-14
 
 
@@ -230,15 +222,15 @@ def _exact_orbit(args, scheme: SchemeId):
 
 
 def cmd_coeffs(args) -> tuple[Iterator[str], int]:
-    max_degree, budget = args.max_degree, MAX_DEGREE[args.letters]
+    letters, max_degree, budget = args.letters, args.max_degree, MAX_DEGREE[args.letters]
     if max_degree is None:
-        max_degree = _DEFAULT_DEGREE[args.letters]
-    elif max_degree > budget:
+        max_degree = _DEFAULT_DEGREE[letters]
+    elif not letters <= max_degree <= budget:
         raise ValueError(
-            f"--max-degree {max_degree} is above the budget of {budget} for {args.letters} letters"
+            f"--max-degree {max_degree} is outside {letters}..{budget} for {letters} letters"
         )
     # Looked up per call, so a wrapper set on the module is the one run.
-    verify = goldberg.verify_two_letter if args.letters == 2 else goldberg.verify_three_letter
+    verify = goldberg.verify_two_letter if letters == 2 else goldberg.verify_three_letter
     rows = [["word", "closed_form", "oracle", "match"]]
     for report in verify(max_degree):
         rows.append(
@@ -258,7 +250,6 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
     def emit(name: str, x_text: str, residual: str, ok: bool):
         rows.append([name, x_text, residual, "pass" if ok else "fail"])
 
-    series_tol = min(args.tol * 1e-2, _SERIES_TOL)
     relations_ok = all(ok for _, ok in check_generator_relations())
     emit("generator_relations", "", "exact", relations_ok)
 
@@ -281,7 +272,7 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
 
         # A nonzero x that rounds to 0.0 has the float map I: the rows of x = 0.
         if x and abs(n) < 2 * b:
-            scale = generator_scale(x, series_tol)
+            scale = generator_scale(x, _SERIES_TOL)
             for scheme in SchemeId:
                 logmat = matrix_log_principal(map_matrix(scheme, x))
                 target = (x * scale) * generator_direction(scheme, x)
@@ -290,7 +281,7 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
                     f"log_vs_generator_{scheme.value}",
                     x_text,
                     repr(residual),
-                    residual <= args.tol,
+                    residual <= _LOG_TOL,
                 )
         elif abs(n) >= 2 * b:
             try:
@@ -350,7 +341,9 @@ def cmd_shadow(args) -> tuple[Iterator[str], int]:
 
 
 def cmd_sweep(args) -> tuple[Iterator[str], int]:
-    scheme = SchemeId(args.scheme)
+    # The second-order map is the first conjugated by a half kick, so every
+    # column is the same for both schemes.
+    scheme = SchemeId.FIRST_ORDER
     rows = [
         [
             "x",
@@ -392,12 +385,6 @@ def cmd_sweep(args) -> tuple[Iterator[str], int]:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-def _add_scheme(parser):
-    parser.add_argument(
-        "--scheme", choices=[s.value for s in SchemeId], default="first", help="integrator scheme"
-    )
 
 
 def _add_state(parser):
@@ -471,19 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check matrix identities per time step")
     _add_x_choice(verify)
-    verify.add_argument(
-        "--tol",
-        type=_tol,
-        default=1e-12,
-        help="absolute gate on log_vs_generator residuals (default 1e-12); rows "
-        "from about x = 1.918 on fail it because the scale series stops on its "
-        "next term alone and misses the tail, a known fault: with the arcsin "
-        "closed form every row passes",
-    )
     verify.set_defaults(handler=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="emit one trajectory")
-    _add_scheme(simulate)
+    simulate.add_argument(
+        "--scheme", choices=[s.value for s in SchemeId], default="first", help="integrator scheme"
+    )
     _add_x(simulate)
     simulate.add_argument("--steps", type=_nonnegative_int, default=100)
     _add_state(simulate)
@@ -496,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     shadow.set_defaults(handler=cmd_shadow)
 
     sweep = sub.add_parser("sweep", help="stability survey over time steps")
-    _add_scheme(sweep)
     _add_x_choice(sweep)
     sweep.set_defaults(handler=cmd_sweep)
 

@@ -421,7 +421,7 @@ FLOAT_OVERFLOWS = (
     ["verify", "--x", "1e400"],
     ["sweep", "--x", "1e400"],
     ["sweep", "--x-range", "0:1e400:1e399"],
-    ["sweep", "--scheme", "second", "--x", "1e200"],
+    ["sweep", "--x", "1e200"],
 )
 
 
@@ -490,16 +490,6 @@ def test_sweep_spectral_radius_finite_where_trace_squared_overflows(capsys):
     assert radius == pytest.approx(abs(trace), rel=1e-15)
 
 
-def test_sweep_second_scheme_radius_where_x_cubed_overflows(capsys):
-    # x^3 = 1e330 overflows a float, but the trace 2 - x^2 = -1e220 does not.
-    code, out = run_cli(capsys, "sweep", "--scheme", "second", "--x", "1e110")
-    header, row = parse_csv(out)
-    assert code == 0
-    radius = float(dict(zip(header, row))["spectral_radius"])
-    assert math.isfinite(radius)
-    assert radius == pytest.approx(1e220, rel=1e-15)
-
-
 def test_sweep_is_deterministic(capsys):
     _, first = run_cli(capsys, "sweep", "--x-range", "0:3:0.25")
     _, second = run_cli(capsys, "sweep", "--x-range", "0:3:0.25")
@@ -523,6 +513,14 @@ def test_coeffs_degree_out_of_range_exits_two(capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_coeffs_degree_below_the_letter_count_names_the_option(capsys):
+    for argv in (["--max-degree", "1"], ["--letters", "3", "--max-degree", "2"]):
+        assert cli.main(["coeffs", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-degree" in captured.err and "max_degree must be" not in captured.err
+
+
 def test_coeffs_budget_admits_documented_degrees(capsys, monkeypatch):
     # Stubs stand in for the oracle, so the largest degrees cost nothing.
     asked = []
@@ -541,7 +539,7 @@ def test_coeffs_default_degrees(capsys):
     assert len(parse_csv(out)) == 25  # header + 24 alternating words
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["simulate", "--scheme", "third"])
     assert info.value.code == 2
@@ -551,13 +549,13 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--x-range", "0:3:1e-9"])  # 3e9 samples: refused unbuilt
     assert info.value.code == 2
-    for tol in ("nan", "inf"):  # a nan gate never ends the scale series
+    # verify's gate is pinned, and sweep's columns are the same for both schemes.
+    target = tmp_path / "rows.csv"
+    for argv in (["verify", "--tol", "1e-12"], ["sweep", "--scheme", "second"]):
         with pytest.raises(SystemExit) as info:
-            cli.main(["verify", "--tol", tol])
+            cli.main(["--out", str(target), *argv])
         assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        cli.main(["sweep", "--tol", "1e-12"])  # sweep has no gate to tune
-    assert info.value.code == 2
+        assert capsys.readouterr().out == "" and not target.exists()
     with pytest.raises(SystemExit) as info:
         cli.main(["simulate", "--steps", "-4"])
     assert info.value.code == 2
@@ -578,18 +576,7 @@ def test_x_and_x_range_are_exclusive(capsys):
         assert "not allowed with argument --x" in captured.err
 
 
-def test_tol_whose_hundredth_underflows_is_a_usage_error(capsys):
-    # verify's series tolerance is tol / 100, 0.0 below about 2.5e-322.
-    with pytest.raises(SystemExit) as info:
-        cli.main(["verify", "--x", "1/2", "--tol", "1e-322"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --tol" in captured.err and "'1e-322'" in captured.err
-    assert run_cli(capsys, "verify", "--x", "1/2", "--tol", "4e-322")[0] == 0
-
-
-def reference_grid_rows(command, scheme, xs, tol=1e-12):
+def reference_grid_rows(command, scheme, xs):
     """verify (both schemes) or sweep (one scheme) rows and exit code,
     with every exact column computed on Fractions from map_matrix,
     shadow_form, generator_direction and stability_classify."""
@@ -630,13 +617,13 @@ def reference_grid_rows(command, scheme, xs, tol=1e-12):
             for name, ok in checks.items():
                 rows.append([f"{name}_{label}", x_text, "exact", "pass" if ok else "fail"])
         if 0 < abs(x) < 2:
-            scale = generator_scale(float(x), min(tol * 1e-2, 1e-14))
+            scale = generator_scale(float(x), 1e-14)
             for label, scheme in schemes.items():
                 log = matrix_log_principal(map_matrix(scheme, float(x)))
                 target = (float(x) * scale) * generator_direction(scheme, float(x))
                 residual = log.max_abs_diff(target)
                 rows.append([f"log_vs_generator_{label}", x_text, repr(residual),
-                             "pass" if residual <= tol else "fail"])
+                             "pass" if residual <= 1e-12 else "fail"])
         elif abs(x) >= 2:  # generator_scale raises there for every x
             rows.append(["divergence_signaled", x_text, "exact", "pass"])
     code = 1 if any(row[3] == "fail" for row in rows[1:]) else 0
@@ -664,9 +651,10 @@ def test_grid_rows_match_fraction_reference(capsys, grid):
         start, stop, step = map(Fraction, value.split(":"))
         xs = [start + i * step for i in range(int((stop - start) / step) + 1)]
     assert run_cli(capsys, "verify", grid)[::-1] == reference_grid_rows("verify", None, xs)
-    for label, scheme in (("first", SchemeId.FIRST_ORDER), ("second", SchemeId.SECOND_ORDER)):
-        got = run_cli(capsys, "sweep", "--scheme", label, grid)[::-1]
-        assert got == reference_grid_rows("sweep", scheme, xs)
+    # The schemes are conjugate, so sweep has one reference for both.
+    expected = reference_grid_rows("sweep", SchemeId.FIRST_ORDER, xs)
+    assert expected == reference_grid_rows("sweep", SchemeId.SECOND_ORDER, xs)
+    assert run_cli(capsys, "sweep", grid)[::-1] == expected
 
 
 @pytest.mark.parametrize(

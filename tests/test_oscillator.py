@@ -129,6 +129,21 @@ def test_map_matrix_equals_factor_products():
         assert map_matrix(SECOND, x) == sandwich
 
 
+@pytest.mark.parametrize(
+    "x",
+    [Fraction(0), Fraction(1, 3), Fraction(19, 10), Fraction(2), Fraction(5, 2),
+     Fraction(-7, 3), Fraction(123, 1000)],
+)
+def test_schemes_are_conjugate_by_a_half_kick(x):
+    # The second-order map is the first conjugated by Kh = I + (x/2) B, so
+    # its form and generator direction are the first's, carried by Kh.
+    kick, unkick = Mat2(1, -x / 2, 0, 1), Mat2(1, x / 2, 0, 1)
+    assert kick @ unkick == Mat2.identity()
+    assert kick @ map_matrix(FIRST, x) @ unkick == map_matrix(SECOND, x)
+    assert unkick.transpose() @ shadow_form(FIRST, x) @ unkick == shadow_form(SECOND, x)
+    assert kick @ generator_direction(FIRST, x) @ unkick == generator_direction(SECOND, x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     scheme=st.sampled_from(list(SchemeId)),
@@ -433,6 +448,13 @@ def test_spectral_radius_values():
     assert spectral_radius(FIRST, 2.0) == 1.0
     assert spectral_radius(FIRST, 3.0) == pytest.approx((7 + 3 * math.sqrt(5)) / 2, rel=1e-15)
     assert spectral_radius(FIRST, 2.5) == pytest.approx(4.0, rel=1e-15)
+
+
+def test_spectral_radius_second_scheme_where_x_cubed_overflows():
+    # x^3 = 1e330 overflows a float, but the trace 2 - x^2 = -1e220 does not.
+    radius = spectral_radius(SECOND, 1e110)
+    assert math.isfinite(radius)
+    assert radius == pytest.approx(1e220, rel=1e-15)
 
 
 def test_rotation_angle():

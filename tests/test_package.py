@@ -71,3 +71,12 @@ def test_readme_sweep_rows_appear_in_default_sweep(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == header
     assert len(rows) == 3 and set(rows) <= set(lines[1:])
+
+
+def test_readme_cli_commands_exit_zero(tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    for line in readme_block("shadowosc ").splitlines():
+        program, *argv = line.split("#")[0].split()
+        assert program == "shadowosc"
+        assert cli.main(["--out", str(target), *argv]) == 0, line
+        assert capsys.readouterr().out == "" and target.stat().st_size > 0
