@@ -62,7 +62,10 @@ def _rational(text: str) -> Fraction:
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
     return value
@@ -130,10 +133,9 @@ def _float(name: str, n: int, d: int) -> float:
         raise ValueError(f"{name} = {_format_ratio(n, d)} is too large for a float") from None
 
 
-# verify's absolute gate on log_vs_generator residuals, and the scale
-# series' tolerance 100x below it, so truncation never decides a comparison.
+# verify's absolute gate on log_vs_generator residuals, 100x above the
+# scale series' stop, so truncation never decides a comparison.
 _LOG_TOL = 1e-12
-_SERIES_TOL = 1e-14
 
 
 def _float_orbit(args, scheme: SchemeId) -> Iterator[tuple[float, float, float]]:
@@ -272,7 +274,7 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
 
         # A nonzero x that rounds to 0.0 has the float map I: the rows of x = 0.
         if x and abs(n) < 2 * b:
-            scale = generator_scale(x, _SERIES_TOL)
+            scale = generator_scale(x)
             for scheme in SchemeId:
                 logmat = matrix_log_principal(map_matrix(scheme, x))
                 target = (x * scale) * generator_direction(scheme, x)
@@ -343,7 +345,6 @@ def cmd_shadow(args) -> tuple[Iterator[str], int]:
 def cmd_sweep(args) -> tuple[Iterator[str], int]:
     # The second-order map is the first conjugated by a half kick, so every
     # column is the same for both schemes.
-    scheme = SchemeId.FIRST_ORDER
     rows = [
         [
             "x",
@@ -358,22 +359,20 @@ def cmd_sweep(args) -> tuple[Iterator[str], int]:
     numerators, b = args.x_range
     for n in numerators:
         x = _float("x", n, b)
-        mat, mat_scale, form, form_scale, _, _ = _scaled_matrices(scheme, n, b)
+        mat, mat_scale, form, form_scale, _, _ = _scaled_matrices(SchemeId.FIRST_ORDER, n, b)
         trace = mat.trace()
         stability = classify_trace(trace, mat_scale)
         try:
-            scale_text = repr(generator_scale(x, _SERIES_TOL))
+            scale_text = repr(generator_scale(x))
         except SeriesDivergesError:
             scale_text = "DIVERGENT"
-        theta_text = (
-            repr(rotation_angle(scheme, x)) if abs(trace) <= 2 * mat_scale else ""
-        )
+        theta_text = repr(rotation_angle(x)) if abs(trace) <= 2 * mat_scale else ""
         rows.append(
             [
                 repr(x),
                 repr(_float("trace", trace, mat_scale)),
                 stability.value,
-                repr(spectral_radius(scheme, x)),
+                repr(spectral_radius(x)),
                 repr(_float("shadow_det", form.det(), form_scale * form_scale)),
                 scale_text,
                 theta_text,
@@ -498,13 +497,21 @@ def main(argv=None) -> int:
     # midway writes no CSV.
     if args.out is None:
         sys.stdout.writelines(lines)
-    else:
-        with open(args.out, "w", newline="") as handle:
-            handle.writelines(lines)
+        return code
+    try:
+        handle = open(args.out, "w", newline="")
+    except OSError as exc:
+        print(f"shadowosc: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with handle:
+        handle.writelines(lines)
     return code
 
 
 def run():
+    import signal  # here, so that importing cli does not pay for it
+    if hasattr(signal, "SIGPIPE"):  # "| head" ends the run silently, as in coreutils
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -143,21 +143,12 @@ def step_second_order(s: PhaseState, x: Scalar) -> PhaseState:
     return PhaseState(p, q)
 
 
-def _map_diagonal(scheme: SchemeId, x: Scalar) -> tuple:
-    """(a, d), the diagonal of map_matrix(scheme, x).  The trace needs
-    nothing else, and a float x too large for x**3 still has one."""
-    if scheme is SchemeId.FIRST_ORDER:
-        return 1, 1 - x * x
-    diag = 1 - HALF * x * x
-    return diag, diag
-
-
 def map_matrix(scheme: SchemeId, x: Scalar) -> Mat2:
     """The one-step map as an explicit matrix (determinant exactly 1)."""
-    a, d = _map_diagonal(scheme, x)
     if scheme is SchemeId.FIRST_ORDER:
-        return Mat2(a, -x, x, d)
-    return Mat2(a, -x + QUARTER * x**3, x, d)
+        return Mat2(1, -x, x, 1 - x * x)
+    diag = 1 - HALF * x * x
+    return Mat2(diag, -x + QUARTER * x**3, x, diag)
 
 
 def orbit(s0: PhaseState, scheme: SchemeId, x: Scalar, n_steps: int) -> Iterator[PhaseState]:
@@ -262,10 +253,10 @@ def _inside_radius(x: Scalar) -> float:
 MAX_SCALE_TERMS = 10**7
 
 
-def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
+def generator_scale(x: Scalar) -> float:
     """Sum the even series sum_n (n!)^2/(2n+1)! x^(2n) by partial sums.
 
-    Terms are accumulated until the next one drops below rel_tol of the
+    Terms are accumulated until the next one drops below 1e-14 of the
     running total.  Each term is the last times x^2 n^2 / ((2n)(2n+1)),
     with the counter n run as a float: for n <= MAX_SCALE_TERMS = 10^7,
     n and (2n)(2n+1) are integers below 2^53 (about 9.0e15), so both are
@@ -273,12 +264,9 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
     recurrence.  For |x| >= 2 the series diverges and this raises
     SeriesDivergesError rather than summing: past that step size there is
     no continuous motion for the discrete map to shadow.  NaN raises
-    ValueError before any term is summed, and so does a rel_tol that is
-    not positive and finite.  A series that needs more than
+    ValueError before any term is summed.  A series that needs more than
     MAX_SCALE_TERMS terms (|x| just below 2) raises ValueError.
     """
-    if not 0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     x = _inside_radius(x)
     x_sq = x * x
     term = 1.0
@@ -289,7 +277,7 @@ def generator_scale(x: Scalar, rel_tol: float = 1e-12) -> float:
         n += 1.0
         two_n = n + n
         term *= x_sq * n * n / (two_n * (two_n + 1.0))
-        if term < rel_tol * total:
+        if term < 1e-14 * total:
             return total + term
     raise ValueError(
         f"generator scale series needs more than {MAX_SCALE_TERMS} terms at x = {x}"
@@ -319,10 +307,10 @@ def generator_direction(scheme: SchemeId, x: Scalar) -> Mat2:
     return Mat2(0, -off, 1, 0)
 
 
-def effective_generator(scheme: SchemeId, x: Scalar, rel_tol: float = 1e-12) -> Mat2:
+def effective_generator(scheme: SchemeId, x: Scalar) -> Mat2:
     """Scale times direction: the matrix G with exp(x G) equal to the
     one-step map.  Exists only inside the convergence radius."""
-    return generator_scale(x, rel_tol) * generator_direction(scheme, x)
+    return generator_scale(x) * generator_direction(scheme, x)
 
 
 def _traceless(m: Mat2) -> tuple[float, Mat2, float]:
@@ -424,11 +412,11 @@ def shadow_energy(s: PhaseState, scheme: SchemeId, x: Scalar):
 # ---------------------------------------------------------------------------
 
 
-def _map_trace(scheme: SchemeId, x: Scalar):
-    """Trace of the one-step map, from its diagonal alone; a NaN trace
-    (x = nan) raises ValueError."""
-    a, d = _map_diagonal(scheme, x)
-    trace = a + d
+def _map_trace(x: Scalar):
+    """Trace 2 - x^2 of both schemes' maps (conjugate by a half kick),
+    summed as the first scheme's diagonal 1 + (1 - x^2), whose float bits
+    2 - x^2 does not keep; a NaN trace (x = nan) raises ValueError."""
+    trace = 1 + (1 - x * x)
     if trace != trace:  # only NaN differs from itself; no float conversion
         raise ValueError(f"the one-step map is undefined at x = {x}")
     return trace
@@ -445,19 +433,19 @@ def classify_trace(trace: Scalar, scale: int = 1) -> StabilityClass:
     return StabilityClass.HYPERBOLIC
 
 
-def stability_classify(scheme: SchemeId, x: Scalar) -> StabilityClass:
+def stability_classify(x: Scalar) -> StabilityClass:
     """Classify the one-step map by |trace| against 2.
 
     Both schemes share trace 2 - x^2.  Exact comparisons, so rational
     input at the boundary classifies exactly.  NaN raises ValueError.
     """
-    return classify_trace(_map_trace(scheme, x))
+    return classify_trace(_map_trace(x))
 
 
-def spectral_radius(scheme: SchemeId, x: Scalar) -> float:
+def spectral_radius(x: Scalar) -> float:
     """Largest eigenvalue magnitude of the one-step map.  NaN raises
     ValueError."""
-    trace = abs(float(_map_trace(scheme, x)))
+    trace = abs(float(_map_trace(x)))
     if trace <= 2.0:
         return 1.0
     if math.isinf(trace * trace):  # |trace| above ~1e154: factor it out of the root
@@ -465,11 +453,11 @@ def spectral_radius(scheme: SchemeId, x: Scalar) -> float:
     return (trace + math.sqrt(trace * trace - 4.0)) / 2.0
 
 
-def rotation_angle(scheme: SchemeId, x: Scalar) -> float:
+def rotation_angle(x: Scalar) -> float:
     """The per-step phase advance in the elliptic regime, arccos(trace/2)
     taken as 2 arcsin(|x|/2) (trace = 2 - x^2), which keeps the digits of
     small angles.  NaN raises ValueError."""
-    trace = float(_map_trace(scheme, x))
+    trace = float(_map_trace(x))
     if abs(trace) > 2.0:
         raise NoEllipticLogError(f"|trace| = {abs(trace)} > 2: no rotation angle")
     return 2.0 * math.asin(abs(float(x)) / 2.0)

@@ -1,8 +1,13 @@
 import argparse
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -443,6 +448,35 @@ def test_exit_two_leaves_no_csv(tmp_path, capsys, monkeypatch):
             assert not target.exists()
 
 
+def test_unwritable_out_exits_two_naming_the_path(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "rows.csv", tmp_path):  # no directory; a directory
+        for argv in (["sweep", "--x", "1"], ["simulate", "--steps", "3"]):
+            assert cli.main(["--out", str(target), *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"shadowosc: error: cannot write --out {target}: ")
+            assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_pipe_ends_the_console_script_silently():
+    # run() is the console script's entry point; a reader that stops after
+    # one line, as head does, ends it by SIGPIPE with nothing on stderr.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from shadowosc.cli import run; run()",
+         "simulate", "--steps", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"step,p,q,shadow_energy,p2_plus_q2\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == -signal.SIGPIPE
+
+
 def test_sweep_default_range(capsys):
     code, out = run_cli(capsys, "sweep")
     rows = parse_csv(out)
@@ -559,6 +593,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["simulate", "--steps", "-4"])
     assert info.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["simulate", "--steps", "1e3"])
+    assert info.value.code == 2
+    assert "argument --steps: not an integer: '1e3'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
@@ -588,17 +627,17 @@ def reference_grid_rows(command, scheme, xs):
         for x in xs:
             trace = map_matrix(scheme, x).trace()
             try:
-                scale_text = repr(generator_scale(float(x), 1e-14))
+                scale_text = repr(generator_scale(float(x)))
             except SeriesDivergesError:
                 scale_text = "DIVERGENT"
             rows.append([
                 repr(float(x)),
                 repr(float(trace)),
-                stability_classify(scheme, x).value,
-                repr(spectral_radius(scheme, float(x))),
+                stability_classify(x).value,
+                repr(spectral_radius(float(x))),
                 repr(float(shadow_form(scheme, x).det())),
                 scale_text,
-                repr(rotation_angle(scheme, float(x))) if abs(trace) <= 2 else "",
+                repr(rotation_angle(float(x))) if abs(trace) <= 2 else "",
             ])
         return "".join(",".join(row) + "\n" for row in rows), 0
     rows = [["invariant", "x", "residual", "pass"],
@@ -617,7 +656,7 @@ def reference_grid_rows(command, scheme, xs):
             for name, ok in checks.items():
                 rows.append([f"{name}_{label}", x_text, "exact", "pass" if ok else "fail"])
         if 0 < abs(x) < 2:
-            scale = generator_scale(float(x), 1e-14)
+            scale = generator_scale(float(x))
             for label, scheme in schemes.items():
                 log = matrix_log_principal(map_matrix(scheme, float(x)))
                 target = (float(x) * scale) * generator_direction(scheme, float(x))

@@ -142,6 +142,10 @@ def test_schemes_are_conjugate_by_a_half_kick(x):
     assert kick @ map_matrix(FIRST, x) @ unkick == map_matrix(SECOND, x)
     assert unkick.transpose() @ shadow_form(FIRST, x) @ unkick == shadow_form(SECOND, x)
     assert kick @ generator_direction(FIRST, x) @ unkick == generator_direction(SECOND, x)
+    # So both maps have trace 2 - x^2, which is all the stability functions read.
+    for scheme in SchemeId:
+        assert map_matrix(scheme, x).trace() == 2 - x * x
+    assert stability_classify(x) is classify_trace(2 - x * x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,7 +174,7 @@ def test_unit_jacobian_exact():
 def test_generator_scale_at_zero_and_one():
     assert generator_scale(0) == 1.0
     expected = 2 * math.pi / (3 * math.sqrt(3))
-    assert generator_scale(1, 1e-14) == pytest.approx(expected, abs=1e-12)
+    assert generator_scale(1) == pytest.approx(expected, abs=1e-12)
 
 
 def test_generator_scale_diverges_at_and_beyond_two():
@@ -199,21 +203,15 @@ def test_generator_scale_closed_form_rejects_nan():
             generator_scale_closed_form(x)
 
 
-def test_generator_scale_rejects_bad_tolerance():
-    for rel_tol in (0.0, math.nan, math.inf):  # a nan tolerance never ends the sum
-        with pytest.raises(ValueError):
-            generator_scale(1.0, rel_tol)
-
-
 def test_generator_scale_term_cap(monkeypatch):
     monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 100)
-    assert generator_scale(1.0, 1e-14) == pytest.approx(2 * math.pi / (3 * math.sqrt(3)))
+    assert generator_scale(1.0) == pytest.approx(2 * math.pi / (3 * math.sqrt(3)))
     with pytest.raises(ValueError, match="more than 100 terms at x = 1.99") as info:
         generator_scale(1.99)
     assert not isinstance(info.value, SeriesDivergesError)
 
 
-def integer_counter_scale(x, rel_tol):
+def integer_counter_scale(x):
     """The scale series with an int counter n, the float one's reference."""
     x_sq = x * x
     term = 1.0
@@ -221,7 +219,7 @@ def integer_counter_scale(x, rel_tol):
     for n in range(1, oscillator.MAX_SCALE_TERMS + 1):
         total += term
         term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
-        if term < rel_tol * total:
+        if term < 1e-14 * total:
             return total + term
     raise AssertionError(f"no stop within the term cap at x = {x}")
 
@@ -230,9 +228,8 @@ def test_generator_scale_matches_integer_counter_bit_for_bit():
     rng = random.Random(20260)
     xs = [rng.uniform(-1.99, 1.99) for _ in range(500)]
     xs += [10.0**-k for k in range(1, 301)] + [1.9999, -1.9999]
-    for rel_tol in (1e-12, 1e-14):
-        for x in xs:
-            assert generator_scale(x, rel_tol) == integer_counter_scale(x, rel_tol), (x, rel_tol)
+    for x in xs:
+        assert generator_scale(x) == integer_counter_scale(x), x
 
 
 def test_closed_form_matches_partial_sums():
@@ -293,7 +290,7 @@ def test_matrix_log_inverts_exp():
 )
 def test_matrix_log_of_exp_round_trip(scheme, x):
     # x = 0 is excluded: exp(0) = I has no elliptic logarithm.
-    step = x * effective_generator(scheme, x, 1e-14)
+    step = x * effective_generator(scheme, x)
     assert matrix_log_principal(mat_exp(step)).max_abs_diff(step) < 1e-12
 
 
@@ -301,7 +298,7 @@ def test_matrix_log_matches_scaled_direction():
     # 1e-9 and 1e-8: trace/2 rounds to 1.0 in floats, the log must not.
     # 1e-200 and 5e-324: b*c underflows to 0 in floats.
     for x in [k / 10 for k in range(1, 20, 2)] + [1e-9, 1e-8, 1e-200, 5e-324]:
-        scale = generator_scale(x, 1e-14)
+        scale = generator_scale(x)
         for scheme in (FIRST, SECOND):
             log = matrix_log_principal(map_matrix(scheme, x))
             target = (x * scale) * generator_direction(scheme, x)
@@ -311,7 +308,7 @@ def test_matrix_log_matches_scaled_direction():
 def test_exp_of_effective_generator_reproduces_map():
     for x in (0.3, 1.0, 1.6):
         for scheme in (FIRST, SECOND):
-            g = effective_generator(scheme, x, 1e-14)
+            g = effective_generator(scheme, x)
             assert mat_exp(x * g).max_abs_diff(map_matrix(scheme, x)) < 1e-12
 
 
@@ -329,10 +326,10 @@ def test_matrix_log_rejects_nonelliptic():
     [
         lambda: matrix_log_principal(Mat2(math.nan, 0.0, 0.0, 1.0)),
         lambda: matrix_log_principal(Mat2(1.0, math.inf, 0.0, 1.0)),  # det inf*0 = nan
-        lambda: spectral_radius(FIRST, math.nan),
-        lambda: rotation_angle(FIRST, math.nan),
-        lambda: stability_classify(FIRST, math.nan),
-        lambda: stability_classify(SECOND, math.nan),
+        lambda: spectral_radius(math.nan),
+        lambda: rotation_angle(math.nan),
+        lambda: stability_classify(math.nan),
+        lambda: stability_classify(-math.nan),  # the sign bit set
     ],
     ids=["log_nan", "log_inf", "spectral_radius", "rotation_angle",
          "stability_first", "stability_second"],
@@ -430,13 +427,13 @@ def test_shadow_form_definiteness_boundary():
 
 
 def test_stability_classification():
-    assert stability_classify(FIRST, 1) is StabilityClass.ELLIPTIC
-    assert stability_classify(FIRST, 2) is StabilityClass.PARABOLIC
-    assert stability_classify(FIRST, 3) is StabilityClass.HYPERBOLIC
-    assert stability_classify(SECOND, Fraction(19, 10)) is StabilityClass.ELLIPTIC
-    assert stability_classify(SECOND, -2) is StabilityClass.PARABOLIC
+    assert stability_classify(1) is StabilityClass.ELLIPTIC
+    assert stability_classify(2) is StabilityClass.PARABOLIC
+    assert stability_classify(3) is StabilityClass.HYPERBOLIC
+    assert stability_classify(Fraction(19, 10)) is StabilityClass.ELLIPTIC
+    assert stability_classify(-2) is StabilityClass.PARABOLIC
     # The identity map at x = 0 sits on the |trace| = 2 boundary too.
-    assert stability_classify(FIRST, 0) is StabilityClass.PARABOLIC
+    assert stability_classify(0) is StabilityClass.PARABOLIC
     # Integer traces over a denominator: -8/4, 7/4 and -9/4.
     assert classify_trace(-8, 4) is StabilityClass.PARABOLIC
     assert classify_trace(7, 4) is StabilityClass.ELLIPTIC
@@ -444,29 +441,30 @@ def test_stability_classification():
 
 
 def test_spectral_radius_values():
-    assert spectral_radius(FIRST, 1.0) == 1.0
-    assert spectral_radius(FIRST, 2.0) == 1.0
-    assert spectral_radius(FIRST, 3.0) == pytest.approx((7 + 3 * math.sqrt(5)) / 2, rel=1e-15)
-    assert spectral_radius(FIRST, 2.5) == pytest.approx(4.0, rel=1e-15)
+    assert spectral_radius(1.0) == 1.0
+    assert spectral_radius(2.0) == 1.0
+    assert spectral_radius(3.0) == pytest.approx((7 + 3 * math.sqrt(5)) / 2, rel=1e-15)
+    assert spectral_radius(2.5) == pytest.approx(4.0, rel=1e-15)
 
 
 def test_spectral_radius_second_scheme_where_x_cubed_overflows():
-    # x^3 = 1e330 overflows a float, but the trace 2 - x^2 = -1e220 does not.
-    radius = spectral_radius(SECOND, 1e110)
+    # The second map's x^3 = 1e330 overflows a float, but the shared trace
+    # 2 - x^2 = -1e220 does not.
+    radius = spectral_radius(1e110)
     assert math.isfinite(radius)
     assert radius == pytest.approx(1e220, rel=1e-15)
 
 
 def test_rotation_angle():
-    assert rotation_angle(FIRST, 1.0) == pytest.approx(math.pi / 3, rel=1e-15)
-    assert rotation_angle(FIRST, 2.0) == pytest.approx(math.pi, rel=1e-15)
+    assert rotation_angle(1.0) == pytest.approx(math.pi / 3, rel=1e-15)
+    assert rotation_angle(2.0) == pytest.approx(math.pi, rel=1e-15)
     # Small angles keep their digits, which arccos(1 - x^2/2) loses: it gives
     # 1.0000000413743513e-05 at x = 1e-5 and 0.0 at x = 1e-9.
-    assert rotation_angle(FIRST, 1e-5) == pytest.approx(1.0000000000041668e-05, rel=1e-15)
-    assert rotation_angle(SECOND, -1e-5) == pytest.approx(1.0000000000041668e-05, rel=1e-15)
-    assert rotation_angle(FIRST, 1e-9) == 1e-09
+    assert rotation_angle(1e-5) == pytest.approx(1.0000000000041668e-05, rel=1e-15)
+    assert rotation_angle(-1e-5) == pytest.approx(1.0000000000041668e-05, rel=1e-15)
+    assert rotation_angle(1e-9) == 1e-09
     with pytest.raises(NoEllipticLogError):
-        rotation_angle(FIRST, 3.0)
+        rotation_angle(3.0)
 
 
 # -- trajectories -------------------------------------------------------------
@@ -603,7 +601,7 @@ def test_hyperbolic_growth_rate():
         for _ in range(n):
             s = step_first_order(s, x)
         rate = math.log(math.hypot(s.p, s.q)) / n
-        target = math.log(spectral_radius(FIRST, x))
+        target = math.log(spectral_radius(x))
         assert abs(rate - target) <= 0.01 * target
 
 
