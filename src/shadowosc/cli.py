@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from collections.abc import Iterator
@@ -22,7 +23,6 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import chain
 
-from . import goldberg
 from .oscillator import (
     HALF,
     PhaseState,
@@ -231,7 +231,10 @@ def cmd_coeffs(args) -> tuple[Iterator[str], int]:
         raise ValueError(
             f"--max-degree {max_degree} is outside {letters}..{budget} for {letters} letters"
         )
-    # Looked up per call, so a wrapper set on the module is the one run.
+    # Only coeffs loads the oracle.  verify_* are looked up per call, so a
+    # wrapper set on the module is the one run.
+    from . import goldberg
+
     verify = goldberg.verify_two_letter if letters == 2 else goldberg.verify_three_letter
     rows = [["word", "closed_form", "oracle", "match"]]
     for report in verify(max_degree):
@@ -494,17 +497,30 @@ def main(argv=None) -> int:
         return 1
     # Every handler returns finished lines.  simulate and shadow stream
     # them; the others build all their rows first, so a run that fails
-    # midway writes no CSV.
-    if args.out is None:
-        sys.stdout.writelines(lines)
-        return code
+    # midway writes no CSV.  A failed write exits 2 and removes a partial
+    # --out file; rows already written to stdout stay there.
+    out, handle = args.out, None
     try:
-        handle = open(args.out, "w", newline="")
-    except OSError as exc:
-        print(f"shadowosc: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
-        return 2
-    with handle:
+        handle = sys.stdout if out is None else open(out, "w", newline="")
         handle.writelines(lines)
+        handle.flush()
+    except OSError as exc:
+        target = "stdout" if out is None else f"--out {out}"
+        print(f"shadowosc: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        if handle is not None:
+            # Closing or exiting would retry the buffered rows and fail
+            # again, so the null device takes them.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, handle.fileno())
+            os.close(null)
+            if out is not None:
+                handle.close()
+                if os.path.isfile(out) and not os.path.islink(out):
+                    os.unlink(out)  # a partial CSV
+        return 2
+    finally:
+        if out is not None and handle is not None:
+            handle.close()
     return code
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
@@ -41,14 +40,23 @@ class PhaseState(NamedTuple):
     q: Scalar
 
 
-@dataclass(slots=True)
 class Mat2:
-    """2x2 matrix [[a, b], [c, d]] acting on column vectors (p, q)."""
+    """2x2 matrix [[a, b], [c, d]] acting on column vectors (p, q),
+    compared by value; mutable, so unhashable."""
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
+    __slots__ = ("a", "b", "c", "d")
+    __hash__ = None
+
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    def __repr__(self):
+        return f"{type(self).__name__}(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @classmethod
     def identity(cls) -> "Mat2":

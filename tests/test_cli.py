@@ -1,4 +1,5 @@
 import argparse
+import errno
 import math
 import os
 import signal
@@ -459,17 +460,64 @@ def test_unwritable_out_exits_two_naming_the_path(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def console_script(argv, prelude="", **kwargs):
+    """run(), the console script's entry point, in a new interpreter after
+    the statements in prelude."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", f"{prelude}\nfrom shadowosc.cli import run; run()", *argv],
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path}, **kwargs,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_failed_write_exits_two_naming_the_target():
+    # /dev/full fails every write with ENOSPC.  Exit 1 would claim a failed
+    # check, and Python's own retry of the buffered rows at exit must not
+    # add a second message.
+    for argv in (["sweep", "--x", "1"], ["simulate", "--steps", "100000"]):
+        for out, target in ((["--out", "/dev/full"], "--out /dev/full"), ([], "stdout")):
+            with open("/dev/full", "w") as full:
+                proc = console_script([*out, *argv], stdout=full)
+                _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 2, (argv, target)
+            assert err.decode() == (
+                f"shadowosc: error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+            )
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this platform")
+def test_failed_write_removes_the_partial_out_file(tmp_path):
+    # A file size limit fails the write after 4096 bytes, partway through.
+    limit = (
+        "import resource, signal\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))"
+    )
+    target = tmp_path / "rows.csv"
+    target.write_text("an older file of the same name\n")
+    proc = console_script(["--out", str(target), "simulate", "--steps", "1000"], limit)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    too_large = os.strerror(errno.EFBIG)
+    assert err.decode() == f"shadowosc: error: cannot write --out {target}: {too_large}\n"
+    assert list(tmp_path.iterdir()) == []
+    # Rows already written to stdout stay there.
+    with open(target, "wb") as stdout:
+        proc = console_script(["simulate", "--steps", "1000"], limit, stdout=stdout)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == f"shadowosc: error: cannot write stdout: {too_large}\n"
+    rows = target.read_bytes()
+    assert len(rows) == 4096 and rows.startswith(b"step,p,q,shadow_energy,p2_plus_q2\n")
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 def test_closed_pipe_ends_the_console_script_silently():
     # run() is the console script's entry point; a reader that stops after
     # one line, as head does, ends it by SIGPIPE with nothing on stderr.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from shadowosc.cli import run; run()",
-         "simulate", "--steps", "1000000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = console_script(["simulate", "--steps", "1000000"], stdout=subprocess.PIPE)
     assert proc.stdout.readline() == b"step,p,q,shadow_energy,p2_plus_q2\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)

@@ -76,6 +76,22 @@ def test_mat2_arithmetic():
         hash(m)
 
 
+def test_mat2_compares_and_prints_by_value():
+    m = Mat2(1, 2, 3, 4)
+    assert m == Mat2(1, 2, 3, 4) and not m != Mat2(1, 2, 3, 4)
+    assert m == Mat2(Fraction(1), 2.0, 3, 4)
+    assert m != Mat2(1, 2, 3, 5)
+    assert m != (1, 2, 3, 4) and (1, 2, 3, 4) != m
+    assert m.__eq__((1, 2, 3, 4)) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(Mat2.zero())
+    assert repr(m) == "Mat2(a=1, b=2, c=3, d=4)"
+    assert repr(Mat2(Fraction(1, 2), -0.5, 0, 1)) == "Mat2(a=Fraction(1, 2), b=-0.5, c=0, d=1)"
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(AttributeError):
+        m.e = 5
+
+
 # -- step maps ---------------------------------------------------------------
 
 

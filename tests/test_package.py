@@ -1,6 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import shadowosc
 from shadowosc import cli, free_series, goldberg, oscillator
@@ -41,6 +46,54 @@ def test_public_names_are_pinned():
         "stability_classify", "step_first_order", "step_second_order",
         "trajectory", "verify_three_letter", "verify_two_letter",
     ]
+
+
+def fresh_modules(code):
+    """The sorted module names that code prints, run in a new interpreter
+    so that no test has imported anything yet."""
+    src = str(Path(shadowosc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.stdout.split()
+
+
+ORACLE_MODULES = {"shadowosc.goldberg", "shadowosc.free_series", "dataclasses"}
+
+
+def test_cli_start_up_skips_the_oracle():
+    loaded = fresh_modules("import shadowosc.cli as c; c.build_parser()")
+    assert "shadowosc.oscillator" in loaded
+    assert not ORACLE_MODULES & set(loaded)
+
+
+def test_coeffs_loads_the_oracle():
+    loaded = fresh_modules(
+        "import io, contextlib, shadowosc.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert c.main(['coeffs', '--max-degree', '4']) == 0"
+    )
+    assert ORACLE_MODULES <= set(loaded)
+
+
+def test_bare_package_import_loads_no_submodule():
+    # dir() lists every public name without loading one.
+    loaded = fresh_modules("import shadowosc\nassert {*shadowosc.__all__} <= {*dir(shadowosc)}")
+    assert [name for name in loaded if name.startswith("shadowosc")] == ["shadowosc"]
+    # A submodule read as an attribute loads that submodule alone.
+    loaded = fresh_modules("import shadowosc\nshadowosc.oscillator.Mat2")
+    assert [name for name in loaded if name.startswith("shadowosc")] == [
+        "shadowosc", "shadowosc.oscillator",
+    ]
+
+
+def test_package_lists_its_names_and_refuses_others():
+    assert len(shadowosc.__all__) == 43 and set(shadowosc.__all__) <= set(dir(shadowosc))
+    assert shadowosc.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        shadowosc.not_a_name
 
 
 # The README's examples, run as written.
