@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "free_series": ("FreeSeries", "log_exp_product", "series_exp", "series_log", "series_mul"),
     "goldberg": (
-        "AlternatingWord", "CoeffReport", "StrangCollapse", "ThreeWordPattern",
-        "TwoLetterCollapse", "collapse_strang", "collapse_two_letter", "collapse_word",
-        "estimate_radius", "goldberg_coeff_three", "goldberg_coeff_two",
-        "scale_series_coeff", "verify_three_letter", "verify_two_letter",
+        "CoeffReport", "StrangCollapse", "TwoLetterCollapse", "collapse_strang",
+        "collapse_two_letter", "collapse_word", "estimate_radius", "goldberg_coeff_three",
+        "goldberg_coeff_two", "scale_series_coeff", "verify_three_letter", "verify_two_letter",
     ),
     "oscillator": (
         "Mat2", "NoEllipticLogError", "PhaseState", "SchemeId", "SeriesDivergesError",

@@ -15,19 +15,17 @@ oracle in :mod:`shadowosc.free_series`; no closed form is trusted bare.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as cartesian
+from typing import NamedTuple
 
 from .free_series import FreeSeries, Word, log_exp_product
 
 # Letter indices.  Two-letter alphabet: A, B.  Three-letter alphabet:
-# X1, X2, X3 (subscripts 1/2/3 as used by the endpoint formulas below).
+# X1, X2, X3.  A word is a tuple of them.
 A, B = 0, 1
 X1, X2, X3 = 0, 1, 2
-
-_SUBSCRIPT_TO_LETTER = {1: X1, 2: X2, 3: X3}
 
 
 def scale_series_coeff(n: int) -> Fraction:
@@ -37,90 +35,9 @@ def scale_series_coeff(n: int) -> Fraction:
     return Fraction(math.factorial(n) ** 2, math.factorial(2 * n + 1))
 
 
-# ---------------------------------------------------------------------------
-# Word patterns
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlternatingWord:
-    """Strictly alternating two-letter word of a given length and start."""
-
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.start not in (A, B):
-            raise ValueError(f"start must be A or B, got {self.start}")
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-
-    def word(self) -> Word:
-        other = B if self.start == A else A
-        return tuple(self.start if i % 2 == 0 else other for i in range(self.length))
-
-    def label(self) -> str:
-        return "".join("AB"[letter] for letter in self.word())
-
-
-@dataclass(frozen=True)
-class ThreeWordPattern:
-    """Word shape in the three-exponential log that survives collapse.
-
-    shape="inner": X2 X_{i1} X2 ... X_{in} X2 (length 2n+1, n >= 0).
-    shape="outer": X_{i1} X2 X_{i2} X2 ... X2 X_{i_{n+1}} (length 2n+1);
-    ``endpoints`` holds the subscripts (i1, i_{n+1}), each 1 or 3.  For
-    n=0 the outer word is the single letter X_{i1}, so mixed endpoints
-    need n >= 1.
-    """
-
-    n: int
-    shape: str
-    endpoints: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.shape not in ("inner", "outer"):
-            raise ValueError(f"shape must be 'inner' or 'outer', got {self.shape!r}")
-        if self.shape == "inner":
-            if self.endpoints is not None:
-                raise ValueError("inner patterns carry no endpoints")
-            return
-        if self.endpoints is None:
-            raise ValueError("outer patterns need endpoints")
-        if any(e not in (1, 3) for e in self.endpoints):
-            raise ValueError(f"endpoint subscripts must be 1 or 3, got {self.endpoints}")
-        if self.n == 0 and self.endpoints[0] != self.endpoints[1]:
-            raise ValueError("mixed endpoints require n >= 1")
-
-    def length(self) -> int:
-        return 2 * self.n + 1
-
-    def words(self):
-        """All concrete words matching the pattern (every choice of
-        intermediate letters)."""
-        if self.shape == "inner":
-            for mids in cartesian((1, 3), repeat=self.n):
-                word = [X2]
-                for sub in mids:
-                    word += [_SUBSCRIPT_TO_LETTER[sub], X2]
-                yield tuple(word)
-            return
-        first, last = self.endpoints
-        if self.n == 0:
-            yield (_SUBSCRIPT_TO_LETTER[first],)
-            return
-        for mids in cartesian((1, 3), repeat=self.n - 1):
-            word = [_SUBSCRIPT_TO_LETTER[first]]
-            for sub in mids:
-                word += [X2, _SUBSCRIPT_TO_LETTER[sub]]
-            word += [X2, _SUBSCRIPT_TO_LETTER[last]]
-            yield tuple(word)
-
-
-def three_letter_label(word: Word) -> str:
-    return "".join(f"X{letter + 1}" for letter in word)
+def _alternates(word) -> bool:
+    """No letter of word sits next to itself."""
+    return all(left != right for left, right in zip(word, word[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -128,30 +45,38 @@ def three_letter_label(word: Word) -> str:
 # ---------------------------------------------------------------------------
 
 
-def goldberg_coeff_two(w: AlternatingWord) -> Fraction:
+def goldberg_coeff_two(word: Word) -> Fraction:
     """Coefficient of an alternating word in log(exp(A) exp(B)).
 
     Odd length 2n+1: (-1)^n (n!)^2/(2n+1)! regardless of the start.
     Even length 2n+2: (-1)^n (n!)^2/(2(2n+1)!), negated for start B.
+    Any word but a nonempty alternating one over A, B raises ValueError.
     """
-    n = (w.length - 1) // 2
+    if not word or not {*word} <= {A, B} or not _alternates(word):
+        raise ValueError(f"not a nonempty alternating word over A, B: {word}")
+    n = (len(word) - 1) // 2
     value = (-1) ** n * scale_series_coeff(n)
-    if w.length % 2:
+    if len(word) % 2:
         return value
-    return value / 2 if w.start == A else -value / 2
+    return value / 2 if word[0] == A else -value / 2
 
 
-def goldberg_coeff_three(p: ThreeWordPattern) -> Fraction:
-    """Coefficient of a pattern word in log(exp(X1) exp(X2) exp(X3)).
+def goldberg_coeff_three(word: Word) -> Fraction:
+    """Coefficient of a word of length 2n+1 in log(exp(X1) exp(X2) exp(X3)).
 
-    Inner words and outer words with equal endpoints share the two-letter
-    odd coefficient (-1)^n (n!)^2/(2n+1)!; mixed endpoints (1,3)/(3,1)
-    get (-1)^(n+1) (n-1)!(n+1)!/(2n+1)! instead.  The value never depends
-    on which of X1/X3 sits between two X2's.
+    The word alternates X2 with X1 or X3.  Inner words (X2 first) and
+    outer words with equal endpoints share the two-letter odd coefficient
+    (-1)^n (n!)^2/(2n+1)!; outer words X1...X3 and X3...X1 get
+    (-1)^(n+1) (n-1)!(n+1)!/(2n+1)! instead.  The value never depends on
+    which of X1/X3 sits between two X2's.  Any other word raises
+    ValueError.
     """
-    n = p.n
+    is_x2 = [letter == X2 for letter in word]
+    if len(word) % 2 == 0 or not {*word} <= {X1, X2, X3} or not _alternates(is_x2):
+        raise ValueError(f"not an odd-length word alternating X2 with X1 or X3: {word}")
+    n = len(word) // 2
     value = (-1) ** n * scale_series_coeff(n)
-    if p.shape == "inner" or p.endpoints[0] == p.endpoints[1]:
+    if word[0] == X2 or word[0] == word[-1]:
         return value
     # (n-1)! (n+1)! = (n!)^2 (n+1)/n
     return -value * Fraction(n + 1, n)
@@ -162,8 +87,7 @@ def goldberg_coeff_three(p: ThreeWordPattern) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffReport:
+class CoeffReport(NamedTuple):
     """One word checked: closed form against the free-algebra oracle."""
 
     word: str
@@ -197,9 +121,17 @@ def nonalternating_support(max_degree: int) -> dict[int, int]:
     oracle = two_letter_oracle(max_degree)
     counts = {degree: 0 for degree in range(1, max_degree + 1)}
     for word in oracle.coeffs:
-        if any(word[i] == word[i + 1] for i in range(len(word) - 1)):
+        if not _alternates(word):
             counts[len(word)] += 1
     return counts
+
+
+def _reports(words, closed_form, oracle: FreeSeries, names) -> list[CoeffReport]:
+    """Each word's label, closed form and oracle coefficient."""
+    return [
+        CoeffReport("".join(names[i] for i in word), closed_form(word), oracle.coefficient(word))
+        for word in words
+    ]
 
 
 def verify_two_letter(max_degree: int) -> list[CoeffReport]:
@@ -213,38 +145,37 @@ def verify_two_letter(max_degree: int) -> list[CoeffReport]:
             raise RuntimeError(
                 f"raw log series lost its non-alternating words at degree {degree}"
             )
-    reports = []
-    for length in range(1, max_degree + 1):
-        for start in (A, B):
-            w = AlternatingWord(start, length)
-            reports.append(
-                CoeffReport(w.label(), goldberg_coeff_two(w), oracle.coefficient(w.word()))
-            )
-    return reports
-
-
-def _patterns_up_to(max_degree: int):
-    for n in range(0, (max_degree - 1) // 2 + 1):
-        yield ThreeWordPattern(n, "inner")
-        endpoint_pairs = [(1, 1), (3, 3)] if n == 0 else [(1, 1), (1, 3), (3, 1), (3, 3)]
-        for pair in endpoint_pairs:
-            yield ThreeWordPattern(n, "outer", pair)
+    # By length, the A-start word first; A, B = 0, 1 alternate mod 2.
+    words = [
+        tuple((start + i) % 2 for i in range(length))
+        for length in range(1, max_degree + 1)
+        for start in (A, B)
+    ]
+    return _reports(words, goldberg_coeff_two, oracle, ("A", "B"))
 
 
 def verify_three_letter(max_degree: int) -> list[CoeffReport]:
-    """Check every pattern-conforming word up to max_degree, for all
-    intermediate-letter choices, against the three-letter oracle."""
+    """Check every word goldberg_coeff_three takes, up to max_degree,
+    against the three-letter oracle.
+
+    Per length 2n+1: the inner words X2 Y1 X2 ... Yn X2, then the outer
+    words Y0 X2 Y1 ... X2 Yn grouped by endpoints (Y0, Yn), each Y one of
+    X1, X3 and the middle letters in product order.
+    """
     if max_degree < 3:
         raise ValueError(f"max_degree must be >= 3, got {max_degree}")
     oracle = three_letter_oracle(max_degree)
-    reports = []
-    for pattern in _patterns_up_to(max_degree):
-        closed = goldberg_coeff_three(pattern)
-        for word in pattern.words():
-            reports.append(
-                CoeffReport(three_letter_label(word), closed, oracle.coefficient(word))
-            )
-    return reports
+    words = []
+    for n in range((max_degree - 1) // 2 + 1):
+        inner = cartesian((X1, X3), repeat=n)
+        outer = sorted(cartesian((X1, X3), repeat=n + 1), key=lambda ys: (ys[0], ys[-1]))
+        # Inner words hold the Y's at odd positions, outer words at even ones.
+        for offset, choices in ((1, inner), (0, outer)):
+            for ys in choices:
+                word = [X2] * (2 * n + 1)
+                word[offset::2] = ys
+                words.append(tuple(word))
+    return _reports(words, goldberg_coeff_three, oracle, ("X1", "X2", "X3"))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +190,8 @@ def collapse_word(word: Word):
     word loses its leading three letters to a sign flip until at most two
     remain.  Returns (sign, reduced_word) or None for zero.
     """
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1]:
-            return None
+    if not _alternates(word):
+        return None
     sign = 1
     while len(word) > 2:
         word = (word[0],) + word[3:]
@@ -296,8 +226,7 @@ def _graded_sequence(graded: dict, reduced: Word, max_n: int) -> tuple[Fraction,
     )
 
 
-@dataclass(frozen=True)
-class TwoLetterCollapse:
+class TwoLetterCollapse(NamedTuple):
     """Collapsed log(exp(xA) exp(xB)): per n, the coefficients of
     x^(2n+1) A, x^(2n+1) B, x^(2n+2) AB and x^(2n+2) BA."""
 
@@ -323,8 +252,7 @@ def collapse_two_letter(max_n: int) -> TwoLetterCollapse:
     )
 
 
-@dataclass(frozen=True)
-class StrangCollapse:
+class StrangCollapse(NamedTuple):
     """Collapsed log of the symmetric half-kick product.
 
     ``a_coeffs[n]`` multiplies x^(2n) in the even series attached to xA,

@@ -246,7 +246,10 @@ def _scaled_matrices(scheme: SchemeId, n: int, b: int) -> tuple[Mat2, int, Mat2,
 
 def _inside_radius(x: Scalar) -> float:
     """float(x); NaN raises ValueError and |x| >= 2 SeriesDivergesError."""
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # a rational beyond the float range is far past 2
+        x = math.inf if x > 0 else -math.inf
     if math.isnan(x):
         raise ValueError("generator scale is undefined at x = nan")
     if abs(x) >= 2.0:

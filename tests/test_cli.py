@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import math
 import os
 import signal
@@ -619,6 +620,22 @@ def test_coeffs_default_degrees(capsys):
     code, out = run_cli(capsys, "coeffs")  # two letters, degree 12
     assert code == 0
     assert len(parse_csv(out)) == 25  # header + 24 alternating words
+
+
+# The rows at each letter count's largest degree, which the benchmark's
+# digests (2 letters to degree 12, 3 to degree 8) do not reach.
+@pytest.mark.parametrize(
+    "letters,degree,lines,sha256",
+    [
+        (2, 14, 29, "535fe44fc21a2deb0f629a8da271ce35e2b8d6c182bd40aaa0cdc958d025f230"),
+        (3, 10, 94, "b017210b55318c1a27fdef58d664855aab09cc0ef67359ec8b8c6e7a61458234"),
+    ],
+)
+def test_coeffs_rows_at_the_degree_budget(capsys, letters, degree, lines, sha256):
+    argv = ["coeffs", "--letters", str(letters), "--max-degree", str(degree)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import math
+from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,8 +13,6 @@ from shadowosc.goldberg import (
     X1,
     X2,
     X3,
-    AlternatingWord,
-    ThreeWordPattern,
     collapse_series,
     collapse_strang,
     collapse_two_letter,
@@ -40,6 +40,20 @@ def test_scale_series_coeffs_match_formula():
 # -- closed forms -----------------------------------------------------------
 
 
+def accepted_words(closed_form, letters, max_degree):
+    """The words over range(letters) of length 0..max_degree that
+    closed_form takes; any other must raise ValueError."""
+    words = []
+    for length in range(max_degree + 1):
+        for word in product(range(letters), repeat=length):
+            try:
+                closed_form(word)
+            except ValueError:
+                continue
+            words.append(word)
+    return words
+
+
 @pytest.mark.parametrize(
     "start,length,expected",
     [
@@ -55,30 +69,28 @@ def test_scale_series_coeffs_match_formula():
     ],
 )
 def test_goldberg_coeff_two_examples(start, length, expected):
-    assert goldberg_coeff_two(AlternatingWord(start, length)) == expected
+    word = ((start, 1 - start) * length)[:length]  # alternating, from start
+    assert goldberg_coeff_two(word) == expected
 
 
 def test_alternating_word_validation():
-    with pytest.raises(ValueError):
-        AlternatingWord(A, 0)
-    with pytest.raises(ValueError):
-        AlternatingWord(5, 2)
-    assert AlternatingWord(A, 4).word() == (A, B, A, B)
-    assert AlternatingWord(B, 3).label() == "BAB"
+    for word in [(), (A, A), (A, B, B), (B, B, A, B), (2,), (A, 2)]:
+        with pytest.raises(ValueError):
+            goldberg_coeff_two(word)
 
 
 @pytest.mark.parametrize(
     "pattern,expected",
     [
-        (ThreeWordPattern(0, "inner"), Fraction(1)),
-        (ThreeWordPattern(0, "outer", (1, 1)), Fraction(1)),
-        (ThreeWordPattern(1, "inner"), Fraction(-1, 6)),
-        (ThreeWordPattern(1, "outer", (1, 1)), Fraction(-1, 6)),
-        (ThreeWordPattern(1, "outer", (3, 3)), Fraction(-1, 6)),
-        (ThreeWordPattern(1, "outer", (1, 3)), Fraction(1, 3)),
-        (ThreeWordPattern(1, "outer", (3, 1)), Fraction(1, 3)),
-        (ThreeWordPattern(2, "inner"), Fraction(1, 30)),
-        (ThreeWordPattern(2, "outer", (1, 3)), Fraction(-1, 20)),
+        ((X2,), Fraction(1)),
+        ((X1,), Fraction(1)),
+        ((X2, X1, X2), Fraction(-1, 6)),
+        ((X1, X2, X1), Fraction(-1, 6)),
+        ((X3, X2, X3), Fraction(-1, 6)),
+        ((X1, X2, X3), Fraction(1, 3)),
+        ((X3, X2, X1), Fraction(1, 3)),
+        ((X2, X1, X2, X3, X2), Fraction(1, 30)),
+        ((X1, X2, X3, X2, X3), Fraction(-1, 20)),
     ],
 )
 def test_goldberg_coeff_three_examples(pattern, expected):
@@ -86,29 +98,39 @@ def test_goldberg_coeff_three_examples(pattern, expected):
 
 
 def test_three_word_pattern_validation():
-    with pytest.raises(ValueError):
-        ThreeWordPattern(0, "outer", (1, 3))  # mixed endpoints need n >= 1
-    with pytest.raises(ValueError):
-        ThreeWordPattern(1, "inner", (1, 1))
-    with pytest.raises(ValueError):
-        ThreeWordPattern(1, "outer")
-    with pytest.raises(ValueError):
-        ThreeWordPattern(1, "outer", (1, 2))
-    with pytest.raises(ValueError):
-        ThreeWordPattern(-1, "inner")
-    with pytest.raises(ValueError):
-        ThreeWordPattern(1, "middle")
+    for word in [
+        (),
+        (X1, X2),  # even length
+        (X1, X3, X1),  # X1 next to X3
+        (X2, X2, X2),
+        (X1, X2, X2, X2, X1),
+        (3,),
+        (X2, 3, X2),
+    ]:
+        with pytest.raises(ValueError):
+            goldberg_coeff_three(word)
 
 
-def test_pattern_word_enumeration():
-    inner = ThreeWordPattern(1, "inner")
-    assert sorted(inner.words()) == [(X2, X1, X2), (X2, X3, X2)]
-    outer = ThreeWordPattern(1, "outer", (1, 3))
-    assert list(outer.words()) == [(X1, X2, X3)]
-    single = ThreeWordPattern(0, "outer", (3, 3))
-    assert list(single.words()) == [(X3,)]
-    two_mids = ThreeWordPattern(2, "outer", (1, 1))
-    assert sorted(two_mids.words()) == [(X1, X2, X1, X2, X1), (X1, X2, X3, X2, X1)]
+@pytest.mark.parametrize(
+    "letters,max_degree,closed_form,verify,names",
+    [
+        (2, 10, goldberg_coeff_two, verify_two_letter, "AB"),
+        (3, 7, goldberg_coeff_three, verify_three_letter, ("X1", "X2", "X3")),
+    ],
+    ids=["two_letters", "three_letters"],
+)
+def test_verify_reports_every_word_the_closed_form_takes(
+    letters, max_degree, closed_form, verify, names
+):
+    # Of all words up to max_degree, the empty one included, the ones the
+    # closed form takes are the reported ones, each once.
+    accepted = [
+        "".join(names[letter] for letter in word)
+        for word in accepted_words(closed_form, letters, max_degree)
+    ]
+    reported = [report.word for report in verify(max_degree)]
+    assert len(set(reported)) == len(reported)
+    assert sorted(reported) == sorted(accepted)
 
 
 # -- oracle agreement -------------------------------------------------------
@@ -155,14 +177,14 @@ def test_three_letter_frozen_golden_value():
 
 
 def test_intermediate_letter_independence():
+    # Over the words goldberg_coeff_three takes, the oracle's coefficient
+    # depends only on the length and the two endpoints.
     oracle = three_letter_oracle(7)
-    for n in range(4):
-        inner = {oracle.coefficient(w) for w in ThreeWordPattern(n, "inner").words()}
-        assert len(inner) == 1
-        for endpoints in ((1, 1), (1, 3), (3, 1), (3, 3)) if n else ((1, 1), (3, 3)):
-            pattern = ThreeWordPattern(n, "outer", endpoints)
-            values = {oracle.coefficient(w) for w in pattern.words()}
-            assert len(values) == 1
+    values = defaultdict(set)
+    for word in accepted_words(goldberg_coeff_three, 3, 7):
+        values[len(word), word[0], word[-1]].add(oracle.coefficient(word))
+    assert len(values) == 18  # per n = 0..3: inner words, 4 endpoint pairs (2 at n = 0)
+    assert all(len(group) == 1 for group in values.values())
 
 
 # -- collapse ---------------------------------------------------------------

@@ -201,6 +201,21 @@ def test_generator_scale_diverges_at_and_beyond_two():
             generator_scale_closed_form(x)
 
 
+@pytest.mark.parametrize("x", [Fraction(10**400), -Fraction(10**400), 10**400])
+@pytest.mark.parametrize(
+    "call",
+    [
+        generator_scale,
+        generator_scale_closed_form,
+        lambda x: effective_generator(SchemeId.FIRST_ORDER, x),
+    ],
+    ids=["generator_scale", "generator_scale_closed_form", "effective_generator"],
+)
+def test_rationals_beyond_the_float_range_diverge(call, x):
+    with pytest.raises(SeriesDivergesError):
+        call(x)
+
+
 def test_generator_scale_rejects_nan():
     with pytest.raises(ValueError) as info:
         generator_scale(float("nan"))
