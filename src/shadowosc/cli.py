@@ -112,7 +112,12 @@ def _format_ratio(n: int, d: int) -> str:
     # The bit lengths put log10(n/d) in an interval of width 2 log10(2) < 1,
     # so the cut has 19 or 20 digits (18 if the float estimate is off by one).
     k = 19 - math.floor((n.bit_length() - d.bit_length() + 1) * _LOG10_2)
-    digits, rem = divmod(n * 10**k, d) if k >= 0 else divmod(n, d * 10**-k)
+    if k >= 0:
+        digits, rem = divmod(n * 10**k, d)
+    else:  # d 10^-k = D 2^s, D = (d >> t) 5^-k, s = t - k; n // 2^s // D = n // (D 2^s)
+        t = (d & -d).bit_length() - 1
+        digits, rem = divmod(n >> (t - k), (d >> t) * 5**-k)
+        rem = rem or n & ~(-1 << (t - k))  # nonzero unless both parts are
     if rem:
         # A final 1 stands for the nonzero remainder: with 18 or more digits
         # cut, no 17-digit rounding boundary lies between it and n/d.
@@ -143,12 +148,14 @@ def _float_orbit(args, scheme: SchemeId) -> Iterator[tuple[float, float, float]]
     is step_first_order or step_second_order and the energy that of
     shadow_form, op for op, on plain floats: Fraction op float is
     float(Fraction) op float, so each energy has the bits of
-    shadow_energy(state, scheme, x).  x, p0 and q0 are converted before
-    the generator starts, so a value too large for a float fails first."""
+    shadow_energy(state, scheme, x).  x, p0, q0 and the form are checked
+    before the generator starts, so a value too large for a float fails first."""
     x, p, q = (
         _float(name, *getattr(args, name).as_integer_ratio()) for name in ("x", "p0", "q0")
     )
     a, b, c, d = map(float, shadow_form(scheme, x).entries())
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError(f"x = {x!r} overflows the {scheme.value}-order shadow form; use --exact")
     return _float_steps(scheme, x, p, q, a, b + c, d, args.steps)
 
 
@@ -389,7 +396,9 @@ def cmd_sweep(args) -> tuple[Iterator[str], int]:
 # ---------------------------------------------------------------------------
 
 
-def _add_state(parser):
+def _add_orbit(parser):
+    parser.add_argument("--x", type=_rational, default=Fraction(1), help="time step")
+    parser.add_argument("--steps", type=_nonnegative_int, default=100)
     parser.add_argument("--p0", type=_rational, default=Fraction(1), help="initial momentum")
     parser.add_argument("--q0", type=_rational, default=Fraction(0), help="initial coordinate")
     parser.add_argument(
@@ -397,10 +406,6 @@ def _add_state(parser):
         action="store_true",
         help="run in exact rational arithmetic (accepts values like 1/2)",
     )
-
-
-def _add_x(parser):
-    parser.add_argument("--x", type=_rational, default=Fraction(1), help="time step")
 
 
 def _add_x_choice(parser):
@@ -466,15 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--scheme", choices=[s.value for s in SchemeId], default="first", help="integrator scheme"
     )
-    _add_x(simulate)
-    simulate.add_argument("--steps", type=_nonnegative_int, default=100)
-    _add_state(simulate)
+    _add_orbit(simulate)
     simulate.set_defaults(handler=cmd_simulate)
 
     shadow = sub.add_parser("shadow", help="per-step energy drift, both schemes")
-    _add_x(shadow)
-    shadow.add_argument("--steps", type=_nonnegative_int, default=100)
-    _add_state(shadow)
+    _add_orbit(shadow)
     shadow.set_defaults(handler=cmd_shadow)
 
     sweep = sub.add_parser("sweep", help="stability survey over time steps")

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -240,6 +241,91 @@ def test_format_ratio_matches_decimal_division_property(n, d, factor):
     assert cli._format_ratio(n * factor, d * factor) == reference
 
 
+_LOG10_2 = math.log10(2)
+
+
+def format_ratio_reference(n, d):
+    """The exact printer before its large-value branch shifted out powers
+    of two: d times 10^-k in one big multiplication."""
+    if n == 0:
+        return "0"
+    sign, n = "-" if n < 0 else "", abs(n)
+    # The bit lengths put log10(n/d) in an interval of width 2 log10(2) < 1,
+    # so the cut has 19 or 20 digits (18 if the float estimate is off by one).
+    k = 19 - math.floor((n.bit_length() - d.bit_length() + 1) * _LOG10_2)
+    digits, rem = divmod(n * 10**k, d) if k >= 0 else divmod(n, d * 10**-k)
+    if rem:
+        # A final 1 stands for the nonzero remainder: with 18 or more digits
+        # cut, no 17-digit rounding boundary lies between it and n/d.
+        text = f"{sign}{digits}1E{-k - 1}"
+    else:  # exact: Decimal strips trailing zeros down to exponent 0
+        while k > 0 and digits % 10 == 0:
+            digits, k = digits // 10, k - 1
+        text = f"{sign}{digits}E{-k}"
+    return str(cli._PRINT.plus(Decimal(text)))
+
+
+def cut_digits(n, d):
+    """m, the digits the printer cuts from |n|/d (negative: digits added)."""
+    return math.floor((abs(n).bit_length() - d.bit_length() + 1) * _LOG10_2) - 19
+
+
+# A tie at the 17th digit, (10 head + 5) 10^1700, plus low/d with low below
+# 2^s, s = m + t: only the bits shifted out of n then decide between rounding
+# half-even (low = 0) and up, so a lost or a spurious low bit changes the text.
+_TIE_CUT = cut_digits(3 * 123456789012345685 * 10**1700, 3)
+
+
+@pytest.mark.parametrize("t", [0, 40, _TIE_CUT, _TIE_CUT + 700], ids=["t0", "t<m", "t=m", "t>m"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_format_ratio_matches_reference_for_each_power_of_two(t, sign):
+    d, s = 3 << t, _TIE_CUT + t
+    for head in (12345678901234568, 12345678901234567):  # even and odd 17th digit
+        for low in (0, 1, 1 << (s - 1), (1 << s) - 1):
+            n = sign * ((10 * head + 5) * 10**1700 * d + low)
+            assert cut_digits(n, d) == _TIE_CUT
+            text = cli._format_ratio(n, d)
+            assert text == format_ratio_reference(n, d)
+            # The even head rounds up only past the tie; the odd one always.
+            up = head % 2 == 0 and low > 0
+            assert text.lstrip("-").startswith("1.234567890123456" + "89"[up])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    quotient_bits=st.integers(min_value=0, max_value=20000),
+    odd_bits=st.integers(min_value=1, max_value=200),
+    extra_twos=st.integers(min_value=0, max_value=400),
+    kind=st.sampled_from(["random", "multiple", "shifted", "tie"]),
+    negative=st.booleans(),
+)
+def test_format_ratio_matches_reference_property(
+    seed, quotient_bits, odd_bits, extra_twos, kind, negative
+):
+    # d = odd 2^t with t from 0 to past the cut m; n/d up to about 2^20000.
+    rng = random.Random(seed)
+    odd = rng.getrandbits(odd_bits) | 1
+    m = max(0, math.floor(quotient_bits * _LOG10_2) - 19)
+    t = rng.randrange(m + extra_twos + 1)
+    d = odd << t
+    if kind == "random":
+        n = rng.getrandbits(quotient_bits + d.bit_length()) or 1
+    elif kind == "multiple":  # rem = 0: q d 10^j with j at least the cut
+        q = rng.randrange(1, 10**rng.randrange(1, 18)) * 10 ** rng.randrange(3)
+        n = q * d * 10 ** (m + rng.randrange(3))
+    elif kind == "shifted":  # the quotient's low bits all zero or all one
+        n = (rng.getrandbits(quotient_bits) << t) | rng.choice([0, (1 << t) - 1])
+        n = n or 1
+    else:  # a tie at the 17th digit, decided by n's lowest bits alone
+        tie = (10 * rng.randrange(10**16, 10**17) + 5) * 10 ** rng.randrange(3)
+        n = tie * 10 ** (m + rng.randrange(3)) * d
+        s = max(1, cut_digits(n, d) + t)
+        n += rng.choice([0, 1, 1 << (s - 1), rng.randrange(1 << s)])
+    n = -n if negative else n
+    assert cli._format_ratio(n, d) == format_ratio_reference(n, d)
+
+
 def reference_rows(command, scheme, x, s0, steps, exact):
     """simulate/shadow rows built from trajectory() and shadow_energy()."""
     if not exact:
@@ -270,12 +356,16 @@ def reference_rows(command, scheme, x, s0, steps, exact):
 STARTS = [("1", "0"), ("-3/5", "2/7"), ("0", "0")]
 
 
+def orbit_argv(x, start, steps, exact):
+    flag = ["--exact"] if exact else []
+    return [f"--x={x}", "--steps", str(steps), f"--p0={start[0]}", f"--q0={start[1]}", *flag]
+
+
 def check_streamed_orbits(capsys, x, start, exact):
     """simulate (both schemes) and shadow print reference_rows()."""
     steps = 200
     s0 = PhaseState(Fraction(start[0]), Fraction(start[1]))
-    flag = ["--exact"] if exact else []
-    state = [f"--x={x}", "--steps", str(steps), f"--p0={start[0]}", f"--q0={start[1]}", *flag]
+    state = orbit_argv(x, start, steps, exact)
     for label, scheme in (("first", SchemeId.FIRST_ORDER), ("second", SchemeId.SECOND_ORDER)):
         code, out = run_cli(capsys, "simulate", "--scheme", label, *state)
         assert code == 0
@@ -293,11 +383,51 @@ def test_streamed_orbits_match_trajectory(capsys, x, start, exact):
 
 
 # Float only: near the radius, negative, and so large that the state
-# overflows, which pins today's inf and nan rows.
+# overflows.  At 1e200 that pins today's first-order inf and nan rows; the
+# second-order form's entry (1 - x^2/4)/2 is -inf before any step, so
+# second-order simulate and shadow exit 2 with no CSV.
 @pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("x", ["1999/1000", "-3/4", "1e200"])
 def test_streamed_float_orbits_match_trajectory(capsys, x, start):
-    check_streamed_orbits(capsys, x, start, False)
+    if x != "1e200":
+        check_streamed_orbits(capsys, x, start, False)
+        return
+    state, s0 = orbit_argv(x, start, 200, False), PhaseState(*map(Fraction, start))
+    code, out = run_cli(capsys, "simulate", "--scheme", "first", *state)
+    assert code == 0
+    assert out == reference_rows("simulate", SchemeId.FIRST_ORDER, Fraction(x), s0, 200, False)
+    for argv in (["simulate", "--scheme", "second"], ["shadow"]):
+        assert cli.main([*argv, *state]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "shadowosc: error: x = 1e+200 overflows the second-order shadow form; use --exact\n"
+        )
+
+
+# SHA-256 of exact simulate rows that the benchmark's digests (first
+# order, x = 5/2, 2000 steps) do not reach: the second scheme, a
+# non-dyadic x, and the shrinking zero-energy eigenvector (2, 1).
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (["--x", "5/2"], "bc034b5fe2b930f58546e5dff6f8759823ef976529e6e755af46094c4d5269bd"),
+        (
+            ["--scheme", "second", "--x", "5/2"],
+            "56ed7384c1d9f55247a8bbf059db09539df66a6ef23c93cc59acc83e25f4e05d",
+        ),
+        (["--x", "7/3"], "16115caaa2ce478e8a520a66ed3ac9e416a46b9469a59b5e7b5e10b628b2cb54"),
+        (
+            ["--x", "5/2", "--p0", "2", "--q0", "1"],
+            "141f7463778060ab3fa7880c60a96e38cea9c767ad9a508c0758b7d10f03a631",
+        ),
+    ],
+    ids=["first-5/2", "second-5/2", "first-7/3", "eigenvector-5/2"],
+)
+def test_exact_simulate_rows_are_pinned(capsys, argv, sha256):
+    code, out = run_cli(capsys, "simulate", *argv, "--steps", "600", "--exact")
+    assert code == 0 and len(out.splitlines()) == 602
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_simulate_and_shadow_memory_does_not_grow_with_steps(tmp_path):
@@ -429,6 +559,9 @@ FLOAT_OVERFLOWS = (
     ["sweep", "--x", "1e400"],
     ["sweep", "--x-range", "0:1e400:1e399"],
     ["sweep", "--x", "1e200"],
+    # The second-order form's entry (1 - x^2/4)/2 is -inf at step 0.
+    ["shadow", "--x", "1e160", "--steps", "0"],
+    ["simulate", "--scheme", "second", "--x", "1e160"],
 )
 
 
