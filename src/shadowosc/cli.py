@@ -143,34 +143,40 @@ def _float(name: str, n: int, d: int) -> float:
 _LOG_TOL = 1e-12
 
 
-def _float_orbit(args, scheme: SchemeId) -> Iterator[tuple[float, float, float]]:
-    """The float orbit, streamed as (p, q, shadow energy) floats.  The step
-    is step_first_order or step_second_order and the energy that of
-    shadow_form, op for op, on plain floats: Fraction op float is
-    float(Fraction) op float, so each energy has the bits of
-    shadow_energy(state, scheme, x).  x, p0, q0 and the form are checked
-    before the generator starts, so a value too large for a float fails first."""
+def _float_orbit(args, scheme: SchemeId) -> Iterator[tuple[float, float, float, float]]:
+    """The float orbit, streamed as (p, q, p^2 + q^2, shadow energy)
+    floats.  The step is step_first_order or step_second_order and the
+    energy that of shadow_form, op for op, on plain floats: Fraction op
+    float is float(Fraction) op float, so each energy has the bits of
+    shadow_energy(state, scheme, x).  A row whose energy or p^2 + q^2 is
+    not finite raises ValueError; row 0 is checked before the generator
+    is returned, so a start outside the float range fails before any row."""
     x, p, q = (
         _float(name, *getattr(args, name).as_integer_ratio()) for name in ("x", "p0", "q0")
     )
     a, b, c, d = map(float, shadow_form(scheme, x).entries())
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise ValueError(f"x = {x!r} overflows the {scheme.value}-order shadow form; use --exact")
-    return _float_steps(scheme, x, p, q, a, b + c, d, args.steps)
+    orbit = _float_steps(scheme, x, p, q, a, b + c, d, args.steps)
+    return chain([next(orbit)], orbit)
 
 
 def _float_steps(scheme, x, p, q, a, cross, d, steps):
     second, half_x = scheme is SchemeId.SECOND_ORDER, HALF * x
-    yield p, q, a * p * p + cross * p * q + d * q * q
-    for _ in range(steps):
-        if second:
+    for step in range(steps + 1):
+        if step and second:
             p -= half_x * q
             q += x * p
             p -= half_x * q
-        else:
+        elif step:
             p -= x * q
             q += x * p
-        yield p, q, a * p * p + cross * p * q + d * q * q
+        # A finite p^2 + q^2 implies a finite p and q.
+        norm, energy = p * p + q * q, a * p * p + cross * p * q + d * q * q
+        if energy - energy or norm - norm:
+            raise ValueError(
+                f"the {scheme.value}-order float orbit at x = {x!r} leaves the float range"
+                f" at step {step}; use --exact"
+            )
+        yield p, q, norm, energy
 
 
 class _FloatText(dict):
@@ -190,11 +196,6 @@ class _FloatText(dict):
     def cells(self, energy: float, energy0: float) -> tuple[str, str]:
         """The energy and its drift from energy0, as text."""
         return self[energy], self[energy - energy0]
-
-
-def _csv(rows) -> Iterator[str]:
-    """Rows of cells as CSV lines."""
-    return (",".join(row) + "\n" for row in rows)
 
 
 def _exact_orbit(args, scheme: SchemeId):
@@ -243,24 +244,22 @@ def cmd_coeffs(args) -> tuple[Iterator[str], int]:
     from . import goldberg
 
     verify = goldberg.verify_two_letter if letters == 2 else goldberg.verify_three_letter
-    rows = [["word", "closed_form", "oracle", "match"]]
-    for report in verify(max_degree):
-        rows.append(
-            [
-                report.word,
-                str(report.closed_form),
-                str(report.oracle),
-                "true" if report.match else "false",
-            ]
-        )
-    return _csv(rows), int(any(row[-1] == "false" for row in rows))
+    reports = verify(max_degree)
+    lines = ["word,closed_form,oracle,match\n"]
+    lines += (
+        f"{r.word},{r.closed_form},{r.oracle},{'true' if r.match else 'false'}\n"
+        for r in reports
+    )
+    return lines, int(not all(r.match for r in reports))
 
 
 def cmd_verify(args) -> tuple[Iterator[str], int]:
-    rows = [["invariant", "x", "residual", "pass"]]
+    lines, failed = ["invariant,x,residual,pass\n"], False
 
     def emit(name: str, x_text: str, residual: str, ok: bool):
-        rows.append([name, x_text, residual, "pass" if ok else "fail"])
+        nonlocal failed
+        failed = failed or not ok
+        lines.append(f"{name},{x_text},{residual},{'pass' if ok else 'fail'}\n")
 
     relations_ok = all(ok for _, ok in check_generator_relations())
     emit("generator_relations", "", "exact", relations_ok)
@@ -303,7 +302,7 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
                 signalled = True
             emit("divergence_signaled", x_text, "exact", signalled)
 
-    return _csv(rows), int(any(row[-1] == "fail" for row in rows))
+    return lines, int(failed)
 
 
 def cmd_simulate(args) -> tuple[Iterator[str], int]:
@@ -319,8 +318,8 @@ def cmd_simulate(args) -> tuple[Iterator[str], int]:
     else:
         text = _FloatText()
         lines = (
-            f"{step},{p!r},{q!r},{text[energy]},{p * p + q * q!r}\n"
-            for step, (p, q, energy) in enumerate(_float_orbit(args, scheme))
+            f"{step},{p!r},{q!r},{text[energy]},{norm!r}\n"
+            for step, (p, q, norm, energy) in enumerate(_float_orbit(args, scheme))
         )
     return chain(["step,p,q,shadow_energy,p2_plus_q2\n"], lines), 0
 
@@ -330,42 +329,30 @@ def _exact_cells(energy, energy0) -> tuple[str, str]:
     return _format_ratio(n, d), _format_ratio(n * d0 - n0 * d, d * d0)
 
 
-def _drift_rows(orbits, cells):
-    """Per step, each orbit's shadow energy (the last item of its points)
-    and its drift from step 0, as text from cells(energy, energy0)."""
+def _drift_rows(orbits, cells) -> Iterator[str]:
+    """Per step, a line of each orbit's shadow energy (the last item of
+    its points) and its drift from step 0, as text from
+    cells(energy, energy0)."""
     for step, points in enumerate(zip(*orbits)):
         energies = [point[-1] for point in points]
         if step == 0:
             initial = energies
-        row = [str(step)]
-        for energy, energy0 in zip(energies, initial):
-            row += cells(energy, energy0)
-        yield row
+        yield ",".join([str(step), *chain.from_iterable(map(cells, energies, initial))]) + "\n"
 
 
 def cmd_shadow(args) -> tuple[Iterator[str], int]:
-    header = ["step", "first_energy", "first_drift", "second_energy", "second_drift"]
     if args.exact:
         orbits, cells = [_exact_orbit(args, scheme) for scheme in SchemeId], _exact_cells
     else:
         orbits, cells = [_float_orbit(args, scheme) for scheme in SchemeId], _FloatText().cells
-    return _csv(chain([header], _drift_rows(orbits, cells))), 0
+    header = "step,first_energy,first_drift,second_energy,second_drift\n"
+    return chain([header], _drift_rows(orbits, cells)), 0
 
 
 def cmd_sweep(args) -> tuple[Iterator[str], int]:
     # The second-order map is the first conjugated by a half kick, so every
     # column is the same for both schemes.
-    rows = [
-        [
-            "x",
-            "trace",
-            "stability",
-            "spectral_radius",
-            "shadow_det",
-            "generator_scale",
-            "theta",
-        ]
-    ]
+    lines = ["x,trace,stability,spectral_radius,shadow_det,generator_scale,theta\n"]
     numerators, b = args.x_range
     for n in numerators:
         x = _float("x", n, b)
@@ -377,18 +364,12 @@ def cmd_sweep(args) -> tuple[Iterator[str], int]:
         except SeriesDivergesError:
             scale_text = "DIVERGENT"
         theta_text = repr(rotation_angle(x)) if abs(trace) <= 2 * mat_scale else ""
-        rows.append(
-            [
-                repr(x),
-                repr(_float("trace", trace, mat_scale)),
-                stability.value,
-                repr(spectral_radius(x)),
-                repr(_float("shadow_det", form.det(), form_scale * form_scale)),
-                scale_text,
-                theta_text,
-            ]
+        lines.append(
+            f"{x!r},{_float('trace', trace, mat_scale)!r},{stability.value},"
+            f"{spectral_radius(x)!r},{_float('shadow_det', form.det(), form_scale * form_scale)!r},"
+            f"{scale_text},{theta_text}\n"
         )
-    return _csv(rows), 0
+    return lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -488,41 +469,40 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
-    try:
-        lines, code = args.handler(args)
-    except ValueError as exc:  # bad parameter combinations are usage errors
-        print(f"shadowosc: error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # a mathematical check tripped
-        print(f"shadowosc: check failed: {exc}", file=sys.stderr)
-        return 1
     # Every handler returns finished lines.  simulate and shadow stream
-    # them; the others build all their rows first, so a run that fails
-    # midway writes no CSV.  A failed write exits 2 and removes a partial
-    # --out file; rows already written to stdout stay there.
+    # them; the others build all their lines first, so a run that fails
+    # midway writes no CSV.  An exit 2 after --out was opened removes the
+    # partial file; rows already written to stdout stay there.
     out, handle = args.out, None
     try:
+        lines, code = args.handler(args)
         handle = sys.stdout if out is None else open(out, "w", newline="")
         handle.writelines(lines)
         handle.flush()
-    except OSError as exc:
-        target = "stdout" if out is None else f"--out {out}"
-        print(f"shadowosc: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
-        if handle is not None:
-            # Closing or exiting would retry the buffered rows and fail
-            # again, so the null device takes them.
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, handle.fileno())
-            os.close(null)
-            if out is not None:
-                handle.close()
-                if os.path.isfile(out) and not os.path.islink(out):
-                    os.unlink(out)  # a partial CSV
+        return code
+    except RuntimeError as exc:  # a mathematical check tripped
+        print(f"shadowosc: check failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:  # usage errors and failed writes
+        message = str(exc)
+        if isinstance(exc, OSError):
+            target = "stdout" if out is None else f"--out {out}"
+            message = f"cannot write {target}: {exc.strerror}"
+            if handle is not None:
+                # Closing or exiting would retry the buffered rows and fail
+                # again, so the null device takes them.
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, handle.fileno())
+                os.close(null)
+        print(f"shadowosc: error: {message}", file=sys.stderr)
+        if out is not None and handle is not None:
+            handle.close()
+            if os.path.isfile(out) and not os.path.islink(out):
+                os.unlink(out)  # a partial CSV
         return 2
     finally:
         if out is not None and handle is not None:
             handle.close()
-    return code
 
 
 def run():

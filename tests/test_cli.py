@@ -382,10 +382,18 @@ def test_streamed_orbits_match_trajectory(capsys, x, start, exact):
     check_streamed_orbits(capsys, x, start, exact)
 
 
+def overflow_message(label, x, step):
+    return (
+        f"shadowosc: error: the {label}-order float orbit at x = {x} leaves the float range"
+        f" at step {step}; use --exact\n"
+    )
+
+
 # Float only: near the radius, negative, and so large that the state
-# overflows.  At 1e200 that pins today's first-order inf and nan rows; the
-# second-order form's entry (1 - x^2/4)/2 is -inf before any step, so
-# second-order simulate and shadow exit 2 with no CSV.
+# overflows.  At 1e200 a run prints the reference rows before the first
+# step whose energy or p^2+q^2 is inf or nan, then exits 2 naming that
+# step; at step 0 it prints nothing.  The second-order form's entry
+# (1 - x^2/4)/2 is -inf, so that orbit fails at step 0 from any start.
 @pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("x", ["1999/1000", "-3/4", "1e200"])
 def test_streamed_float_orbits_match_trajectory(capsys, x, start):
@@ -393,16 +401,60 @@ def test_streamed_float_orbits_match_trajectory(capsys, x, start):
         check_streamed_orbits(capsys, x, start, False)
         return
     state, s0 = orbit_argv(x, start, 200, False), PhaseState(*map(Fraction, start))
-    code, out = run_cli(capsys, "simulate", "--scheme", "first", *state)
-    assert code == 0
-    assert out == reference_rows("simulate", SchemeId.FIRST_ORDER, Fraction(x), s0, 200, False)
-    for argv in (["simulate", "--scheme", "second"], ["shadow"]):
-        assert cli.main([*argv, *state]) == 2
+    failures = []
+    for label, scheme in (("first", SchemeId.FIRST_ORDER), ("second", SchemeId.SECOND_ORDER)):
+        rows = reference_rows("simulate", scheme, Fraction(x), s0, 200, False)
+        lines = rows.splitlines(keepends=True)
+        bad = [k for k, line in enumerate(lines[1:]) if "inf" in line or "nan" in line]
+        code = cli.main(["simulate", "--scheme", label, *state])
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "shadowosc: error: x = 1e+200 overflows the second-order shadow form; use --exact\n"
-        )
+        if not bad:
+            assert code == 0 and captured.out == rows and captured.err == ""
+            continue
+        step = bad[0]
+        assert code == 2
+        assert captured.out == ("".join(lines[: step + 1]) if step else "")
+        assert captured.err == overflow_message(label, "1e+200", step)
+        failures.append((step, label))
+    # From (0, 0) the first-order orbit stays at 0, so only the second fails.
+    labels = ["second"] if start == ("0", "0") else ["first", "second"]
+    assert [label for _, label in failures] == labels
+    # shadow steps the first orbit, then the second: it names the first failure.
+    step, label = min(failures, key=lambda failure: failure[0])
+    rows = reference_rows("shadow", None, Fraction(x), s0, 200, False).splitlines(keepends=True)
+    assert cli.main(["shadow", *state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ("".join(rows[: step + 1]) if step else "")
+    assert captured.err == overflow_message(label, "1e+200", step)
+
+
+# Orbits that leave the float range partway, and starts (p0 = 1e200) whose
+# step-0 energy is inf: (argv, failing orbit, its x, its first bad step).
+ORBIT_OVERFLOWS = (
+    (["simulate", "--x", "1e200", "--steps", "2"], "first", "1e+200", 1),
+    (["simulate", "--x", "3", "--steps", "400"], "first", "3.0", 185),
+    (["shadow", "--x", "3", "--steps", "400"], "first", "3.0", 185),
+    (["simulate", "--p0", "1e200", "--steps", "1"], "first", "1.0", 0),
+    (["shadow", "--p0", "1e200", "--steps", "1"], "first", "1.0", 0),
+)
+
+
+@pytest.mark.parametrize("argv,label,x,step", ORBIT_OVERFLOWS)
+def test_float_orbit_leaving_the_float_range_exits_two(tmp_path, capsys, argv, label, x, step):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == overflow_message(label, x, step)
+    # The rows before the failing step stay on stdout, with no inf or nan;
+    # a failure at step 0 writes no CSV.
+    lines = captured.out.splitlines()
+    assert len(lines) == (step + 1 if step else 0)
+    assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(step)]
+    assert "inf" not in captured.out and "nan" not in captured.out
+    target = tmp_path / "rows.csv"
+    assert cli.main(["--out", str(target), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == overflow_message(label, x, step)
+    assert list(tmp_path.iterdir()) == []
 
 
 # SHA-256 of exact simulate rows that the benchmark's digests (first
@@ -432,10 +484,12 @@ def test_exact_simulate_rows_are_pinned(capsys, argv, sha256):
 
 def test_simulate_and_shadow_memory_does_not_grow_with_steps(tmp_path):
     # Holding the 20001 rows took about 9.5 MB; streamed, the peak is a few
-    # hundred kB.  At x = 5/2 the float energies overflow to inf and nan,
-    # so nearly every row misses the text cache, which must stay bounded.
+    # hundred kB.  Near the radius the second-order float energies take
+    # about 16500 distinct values in 20001 rows, so nearly every row misses
+    # the text cache, which must stay bounded.
     target = tmp_path / "orbit.csv"
-    for argv in (["simulate"], ["shadow"], ["simulate", "--x", "5/2"]):
+    near_radius = ["simulate", "--scheme", "second", "--x", "199999/100000"]
+    for argv in (["simulate"], ["shadow"], near_radius):
         tracemalloc.start()
         try:
             code = cli.main(["--out", str(target), *argv, "--steps", "20000"])
@@ -722,6 +776,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert b"\r" not in content and content.endswith(b"\n")
 
 
+def test_lost_nonalternating_words_exit_one_with_no_csv(tmp_path, capsys, monkeypatch):
+    # The raw log keeps non-alternating words from degree 3 on; a series
+    # that lost them fails the check before any row is written.
+    monkeypatch.setattr(
+        goldberg,
+        "nonalternating_support",
+        lambda max_degree: {degree: int(degree != 3) for degree in range(1, max_degree + 1)},
+    )
+    target = tmp_path / "rows.csv"
+    for out in ([], ["--out", str(target)]):
+        assert cli.main([*out, "coeffs", "--max-degree", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "shadowosc: check failed: raw log series lost its non-alternating words at degree 3\n"
+        )
+        assert not target.exists()
+
+
 def test_coeffs_degree_out_of_range_exits_two(capsys):
     for letters, degree in (("3", "2"), ("2", "0"), ("3", "0"), ("2", "15"), ("3", "11")):
         code = cli.main(["coeffs", "--letters", letters, "--max-degree", degree])
@@ -781,6 +854,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--x-range", "0:3:1e-9"])  # 3e9 samples: refused unbuilt
     assert info.value.code == 2
+    capsys.readouterr()
+    for option, value, message in (
+        ("--x", "abc", "not a rational number: 'abc'"),
+        ("--x", "1/0", "not a rational number: '1/0'"),
+        ("--x-range", "0:3", "expected start:stop:step, got '0:3'"),
+        ("--x-range", "0:3:0", "step must be positive"),
+        ("--x-range", "0:3:-1/10", "step must be positive"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", option, value])
+        assert info.value.code == 2
+        assert f"argument {option}: {message}\n" in capsys.readouterr().err
     # verify's gate is pinned, and sweep's columns are the same for both schemes.
     target = tmp_path / "rows.csv"
     for argv in (["verify", "--tol", "1e-12"], ["sweep", "--scheme", "second"]):
