@@ -198,32 +198,42 @@ class _FloatText(dict):
         return self[energy], self[energy - energy0]
 
 
-def _exact_orbit(args, scheme: SchemeId):
-    """The exact orbit, streamed as (P, Q, E, R, E^2, (N, M)), all
-    integers: the state is (P/E, Q/E), p^2 + q^2 = R/E^2 and its shadow
-    energy N/M, with N = a P^2 + (b + c) PQ + d Q^2 over the form's
-    common denominator.  P^2, PQ and Q^2 are squared once, at step 0.
-    scaled_orbit steps (P, Q), E -> K (P, Q), D E, so the products are
-    carried by K's symmetric square and E^2 by D^2: each row costs small
-    times big products only, linear in the state's size."""
-    (a, b, c, d), form_scale = _common_denominator(shadow_form(scheme, args.x).entries())
-    cross = b + c
+class _ExactText(dict):
+    """Exact energy cells: equal values print alike, so energy0's text is reused."""
+
+    def cells(self, energy: tuple[int, int], energy0: tuple[int, int]) -> tuple[str, str]:
+        (n, d), (n0, d0) = energy, energy0
+        drift = n * d0 - n0 * d
+        if drift:
+            return _format_ratio(n, d), _format_ratio(drift, d * d0)
+        return self.get(energy0) or self.setdefault(energy0, _format_ratio(n0, d0)), "0"
+
+
+def _quadratic_column(args, scheme: SchemeId, form) -> Iterator[tuple[int, int]]:
+    """(p q) F (p q)^t, F the rationals in form, at each exact state, as
+    integer pairs (N, M) of value N/M.  N obeys Cayley-Hamilton for the
+    symmetric square of K = D map (trace T, determinant t), for any K:
+    N3 = c (N2 - t N1) + t^3 N0, c = T^2 - t; only rows 0-2 step the state."""
+    (a, b, c, d), form_scale = _common_denominator(form)
     (k11, k12, k21, k22), step = _common_denominator(map_matrix(scheme, args.x).entries())
-    sym = (
-        (k11 * k11, 2 * k11 * k12, k12 * k12),
-        (k11 * k21, k11 * k22 + k12 * k21, k12 * k22),
-        (k21 * k21, 2 * k21 * k22, k22 * k22),
-    )
-    step_sq, scale_sq = step * step, None
-    s0 = PhaseState(args.p0, args.q0)
-    for (p, q), scale in scaled_orbit(s0, scheme, args.x, args.steps):
-        if scale_sq is None:
-            p_sq, pq, q_sq, scale_sq = p * p, p * q, q * q, scale * scale
-        else:
-            p_sq, pq, q_sq = [u * p_sq + v * pq + w * q_sq for u, v, w in sym]
-            scale_sq *= step_sq
-        energy = a * p_sq + cross * pq + d * q_sq
-        yield p, q, scale, p_sq + q_sq, scale_sq, (energy, form_scale * scale_sq)
+    orbit = scaled_orbit(PhaseState(args.p0, args.q0), scheme, args.x, 2)
+    rows = [(a * p * p + (b + c) * p * q + d * q * q, form_scale * e * e) for (p, q), e in orbit]
+    yield from rows[: args.steps + 1]
+    det = k11 * k22 - k12 * k21
+    c1, c3, step_sq = (k11 + k22) ** 2 - det, det**3, step * step
+    (n0, _), (n1, _), (n2, m) = rows
+    for _ in range(args.steps - 2):  # small times big products only
+        n0, n1, n2 = n1, n2, c1 * (n2 - det * n1) + c3 * n0
+        m *= step_sq
+        yield n2, m
+
+
+def _exact_orbit(args, scheme: SchemeId):
+    """The exact state (P/E, Q/E), p^2 + q^2 = R/E^2 and shadow energy N/M,
+    streamed as (((P, Q), E), (R, E^2), (N, M)) integers."""
+    orbit = scaled_orbit(PhaseState(args.p0, args.q0), scheme, args.x, args.steps)
+    forms = (1, 0, 0, 1), shadow_form(scheme, args.x).entries()
+    return zip(orbit, *(_quadratic_column(args, scheme, form) for form in forms), strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +318,12 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
 def cmd_simulate(args) -> tuple[Iterator[str], int]:
     scheme = SchemeId(args.scheme)
     if args.exact:
+        orbit, text = _exact_orbit(args, scheme), _ExactText()
+        row0 = next(orbit)
         lines = (
-            f"{step},{_format_ratio(p, scale)},{_format_ratio(q, scale)},"
-            f"{_format_ratio(*energy)},{_format_ratio(norm, scale_sq)}\n"
-            for step, (p, q, scale, norm, scale_sq, energy) in enumerate(
-                _exact_orbit(args, scheme)
-            )
+            f"{step},{_format_ratio(p, e)},{_format_ratio(q, e)},"
+            f"{text.cells(energy, row0[-1])[0]},{_format_ratio(norm, e_sq)}\n"
+            for step, (((p, q), e), (norm, e_sq), energy) in enumerate(chain([row0], orbit))
         )
     else:
         text = _FloatText()
@@ -324,29 +334,19 @@ def cmd_simulate(args) -> tuple[Iterator[str], int]:
     return chain(["step,p,q,shadow_energy,p2_plus_q2\n"], lines), 0
 
 
-def _exact_cells(energy, energy0) -> tuple[str, str]:
-    (n, d), (n0, d0) = energy, energy0
-    return _format_ratio(n, d), _format_ratio(n * d0 - n0 * d, d * d0)
-
-
-def _drift_rows(orbits, cells) -> Iterator[str]:
-    """Per step, a line of each orbit's shadow energy (the last item of
-    its points) and its drift from step 0, as text from
-    cells(energy, energy0)."""
-    for step, points in enumerate(zip(*orbits)):
-        energies = [point[-1] for point in points]
-        if step == 0:
-            initial = energies
-        yield ",".join([str(step), *chain.from_iterable(map(cells, energies, initial))]) + "\n"
-
-
 def cmd_shadow(args) -> tuple[Iterator[str], int]:
+    cells = (_ExactText() if args.exact else _FloatText()).cells
     if args.exact:
-        orbits, cells = [_exact_orbit(args, scheme) for scheme in SchemeId], _exact_cells
+        streams = [_quadratic_column(args, s, shadow_form(s, args.x).entries()) for s in SchemeId]
     else:
-        orbits, cells = [_float_orbit(args, scheme) for scheme in SchemeId], _FloatText().cells
-    header = "step,first_energy,first_drift,second_energy,second_drift\n"
-    return chain([header], _drift_rows(orbits, cells)), 0
+        streams = [(row[-1] for row in _float_orbit(args, s)) for s in SchemeId]
+    rows = zip(*streams)
+    row0 = next(rows)
+    lines = (
+        ",".join([str(step), *chain.from_iterable(map(cells, energies, row0))]) + "\n"
+        for step, energies in enumerate(chain([row0], rows))
+    )
+    return chain(["step,first_energy,first_drift,second_energy,second_drift\n"], lines), 0
 
 
 def cmd_sweep(args) -> tuple[Iterator[str], int]:

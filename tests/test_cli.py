@@ -1,6 +1,7 @@
 import argparse
 import errno
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -517,23 +518,98 @@ def energy_form(scheme, x):
 CARRY_XS = ["5/2", "1/3", "2/3", "-7/3", "2", "0", "123456789/1000000007"]
 
 
-@pytest.mark.parametrize("scheme", list(SchemeId))
-@pytest.mark.parametrize("x", CARRY_XS)
-def test_exact_orbit_carried_squares_equal_direct_squares(x, scheme):
-    (a, cross, d), form_scale = energy_form(scheme, Fraction(x))
+# Rows 0-2 seed the recurrence and row 3 is its first step.
+RECURRENCE_STEPS = (0, 1, 2, 3, 300)
+
+
+def carry_starts(x, scheme):
     starts = [(1, 0), ("-3/5", "2/7"), (0, 0)]
     if x == "5/2" and scheme is SchemeId.FIRST_ORDER:
         starts.append((2, 1))  # an eigenvector with shadow energy 0
-    for start in starts:
-        rows = list(cli._exact_orbit(exact_orbit_args(x, start, 300), scheme))
-        assert len(rows) == 301
-        for p, q, scale, norm, scale_sq, (energy, energy_scale) in rows:
-            assert norm == p * p + q * q
-            assert scale_sq == scale * scale
-            assert energy == a * p * p + cross * p * q + d * q * q
-            assert energy_scale == form_scale * scale_sq
+    return starts
+
+
+def assert_rows_are_direct_squares(rows, scheme, x):
+    """Each _exact_orbit row's p^2 + q^2 and energy equal the squared state."""
+    (a, cross, d), form_scale = energy_form(scheme, x)
+    for ((p, q), scale), (norm, scale_sq), (energy, energy_scale) in rows:
+        assert norm == p * p + q * q
+        assert scale_sq == scale * scale
+        assert energy == a * p * p + cross * p * q + d * q * q
+        assert energy_scale == form_scale * scale_sq
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+@pytest.mark.parametrize("x", CARRY_XS)
+def test_exact_orbit_carried_squares_equal_direct_squares(x, scheme):
+    for start, steps in itertools.product(carry_starts(x, scheme), RECURRENCE_STEPS):
+        rows = list(cli._exact_orbit(exact_orbit_args(x, start, steps), scheme))
+        assert len(rows) == steps + 1
+        assert_rows_are_direct_squares(rows, scheme, Fraction(x))
         if start == (2, 1):
             assert {row[-1][0] for row in rows} == {0}
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+@pytest.mark.parametrize("x", CARRY_XS)
+def test_shadow_energy_stream_equals_exact_orbit_energies(x, scheme):
+    # shadow --exact takes only the energy column and steps the state for
+    # rows 0-2 alone; its stream must still be _exact_orbit's, row by row.
+    for start, steps in itertools.product(carry_starts(x, scheme), RECURRENCE_STEPS):
+        args = exact_orbit_args(x, start, steps)
+        form = shadow_form(scheme, args.x).entries()
+        energies = list(cli._quadratic_column(args, scheme, form))
+        assert energies == [energy for *_, energy in cli._exact_orbit(args, scheme)]
+    if scheme is SchemeId.SECOND_ORDER:
+        return
+    # shadow's CSV prints both schemes: each energy and its drift as
+    # _format_ratio gives them for _exact_orbit's rows, text reuse or not.
+    for start in carry_starts(x, scheme):
+        args = argparse.Namespace(exact=True, **vars(exact_orbit_args(x, start, 40)))
+        orbits = [[energy for *_, energy in cli._exact_orbit(args, s)] for s in SchemeId]
+        expected = ["step,first_energy,first_drift,second_energy,second_drift\n"]
+        for step, row in enumerate(zip(*orbits)):
+            cells = []
+            for (n, d), (n0, d0) in zip(row, [orbit[0] for orbit in orbits]):
+                cells += [cli._format_ratio(n, d), cli._format_ratio(n * d0 - n0 * d, d * d0)]
+            expected.append(",".join([str(step), *cells]) + "\n")
+        lines, code = cli.cmd_shadow(args)
+        assert (list(lines), code) == (expected, 0)
+
+
+def test_exact_orbit_recurrence_holds_for_any_step_matrix(monkeypatch):
+    # A map of determinant 10/3: the recurrence may assume neither
+    # det K = D^2 nor a conserved energy.
+    def map_matrix_stub(scheme, x):
+        return Mat2(Fraction(3, 2), 1, Fraction(-1, 3), 2)
+
+    monkeypatch.setattr(oscillator, "map_matrix", map_matrix_stub)
+    monkeypatch.setattr(cli, "map_matrix", map_matrix_stub)
+    for scheme in SchemeId:
+        for start, steps in itertools.product([(1, 0), ("-3/5", "2/7")], (0, 1, 2, 3, 40)):
+            rows = list(cli._exact_orbit(exact_orbit_args("1/3", start, steps), scheme))
+            assert len(rows) == steps + 1
+            assert_rows_are_direct_squares(rows, scheme, Fraction(1, 3))
+            if steps:  # the stub conserves no energy
+                assert len({Fraction(*energy) for *_, energy in rows}) > 1
+
+
+def test_exact_text_reuses_step_zero_text_only_for_equal_values(monkeypatch):
+    printed = []
+
+    def format_ratio(n, d):
+        printed.append((n, d))
+        return format_ratio_reference(n, d)
+
+    monkeypatch.setattr(cli, "_format_ratio", format_ratio)
+    text, energy0 = cli._ExactText(), (1, 3)
+    first = text.cells(energy0, energy0)
+    assert first == ("0.33333333333333333", "0") and printed == [energy0]
+    # The same value as another pair: step 0's text, printed nowhere again.
+    assert text.cells((2, 6), energy0) == first and printed == [energy0]
+    # One more in n: printed afresh, with a nonzero drift.
+    assert text.cells((2, 3), energy0) == ("0.66666666666666667", "0.33333333333333333")
+    assert printed == [energy0, (2, 3), (3, 9)]
 
 
 def test_exact_simulate_zero_steps_is_one_row(capsys):
@@ -565,7 +641,9 @@ def test_exact_orbit_far_row_matches_map_power(x, scheme):
     scale = scale0 * step**steps
     (a, cross, d), form_scale = energy_form(scheme, args.x)
     energy = a * p * p + cross * p * q + d * q * q
-    assert row == (p, q, scale, p * p + q * q, scale * scale, (energy, form_scale * scale * scale))
+    assert row == (
+        ((p, q), scale), (p * p + q * q, scale * scale), (energy, form_scale * scale * scale)
+    )
     # The exact energy is conserved: the far row's value is step 0's.
     assert Fraction(energy, form_scale * scale * scale) == shadow_energy(
         PhaseState(args.p0, args.q0), scheme, args.x
