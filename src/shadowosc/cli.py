@@ -241,7 +241,25 @@ def _exact_orbit(args, scheme: SchemeId):
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args) -> tuple[Iterator[str], int]:
+def _raise_if_failed(tally: list[int], what: str) -> Iterator[str]:
+    """Yields no line: reached after a handler's last line, it raises
+    RuntimeError if tally, [rows, failed rows], counts a failure."""
+    if tally[1]:
+        raise RuntimeError(f"{tally[1]} of {tally[0]} {what}")
+    yield from ()
+
+
+def _grid(header: str, x_range: tuple[range, int], sample) -> Iterator[str]:
+    """header, then the text sample(n, b) at each x = n/b.  Both ends are
+    computed before this returns: a sample's float overflows grow with |x|,
+    so a grid that overflows anywhere overflows at an end."""
+    numerators, b = x_range
+    first = sample(numerators[0], b)
+    last = [sample(numerators[-1], b)] if len(numerators) > 1 else []
+    return chain([header, first], (sample(n, b) for n in numerators[1:-1]), last)
+
+
+def cmd_coeffs(args) -> Iterator[str]:
     letters, max_degree, budget = args.letters, args.max_degree, MAX_DEGREE[args.letters]
     if max_degree is None:
         max_degree = _DEFAULT_DEGREE[letters]
@@ -255,41 +273,37 @@ def cmd_coeffs(args) -> tuple[Iterator[str], int]:
 
     verify = goldberg.verify_two_letter if letters == 2 else goldberg.verify_three_letter
     reports = verify(max_degree)
-    lines = ["word,closed_form,oracle,match\n"]
-    lines += (
+    lines = (
         f"{r.word},{r.closed_form},{r.oracle},{'true' if r.match else 'false'}\n"
         for r in reports
     )
-    return lines, int(not all(r.match for r in reports))
+    tally = [len(reports), sum(not r.match for r in reports)]
+    failed = _raise_if_failed(tally, "words differ from the oracle")
+    return chain(["word,closed_form,oracle,match\n"], lines, failed)
 
 
-def cmd_verify(args) -> tuple[Iterator[str], int]:
-    lines, failed = ["invariant,x,residual,pass\n"], False
-
-    def emit(name: str, x_text: str, residual: str, ok: bool):
-        nonlocal failed
-        failed = failed or not ok
-        lines.append(f"{name},{x_text},{residual},{'pass' if ok else 'fail'}\n")
-
+def cmd_verify(args) -> Iterator[str]:
     relations_ok = all(ok for _, ok in check_generator_relations())
-    emit("generator_relations", "", "exact", relations_ok)
+    tally = [1, int(not relations_ok)]  # rows, failed rows
 
-    numerators, b = args.x_range
-    for n in numerators:
+    def sample(n: int, b: int) -> str:
         x = _float("x", n, b)
-        x_text = repr(x)
+        x_text, lines = repr(x), []
+
+        def emit(name: str, ok: bool, residual: str = "exact"):
+            tally[1] += not ok
+            lines.append(f"{name},{x_text},{residual},{'pass' if ok else 'fail'}\n")
+
         # 2 - |x| = edge / b, so the form's determinant must share edge's sign.
         edge = 2 * b - abs(n)
         for scheme in SchemeId:
             mat, mat_scale, form, _, direction, _ = _scaled_matrices(scheme, n, b)
-            emit(f"det_map_{scheme.value}", x_text, "exact", mat.det() == mat_scale * mat_scale)
-
+            emit(f"det_map_{scheme.value}", mat.det() == mat_scale * mat_scale)
             product = form @ direction
             skew = product.transpose() + product
-            emit(f"antisymmetry_{scheme.value}", x_text, "exact", skew == skew.zero())
+            emit(f"antisymmetry_{scheme.value}", skew == skew.zero())
             det = form.det()
-            sign_ok = det * edge > 0 or det == edge == 0
-            emit(f"shadow_det_sign_{scheme.value}", x_text, "exact", sign_ok)
+            emit(f"shadow_det_sign_{scheme.value}", det * edge > 0 or det == edge == 0)
 
         # A nonzero x that rounds to 0.0 has the float map I: the rows of x = 0.
         if x and abs(n) < 2 * b:
@@ -298,24 +312,23 @@ def cmd_verify(args) -> tuple[Iterator[str], int]:
                 logmat = matrix_log_principal(map_matrix(scheme, x))
                 target = (x * scale) * generator_direction(scheme, x)
                 residual = logmat.max_abs_diff(target)
-                emit(
-                    f"log_vs_generator_{scheme.value}",
-                    x_text,
-                    repr(residual),
-                    residual <= _LOG_TOL,
-                )
+                emit(f"log_vs_generator_{scheme.value}", residual <= _LOG_TOL, repr(residual))
         elif abs(n) >= 2 * b:
             try:
                 generator_scale(x)
                 signalled = False
             except SeriesDivergesError:
                 signalled = True
-            emit("divergence_signaled", x_text, "exact", signalled)
+            emit("divergence_signaled", signalled)
+        tally[0] += len(lines)
+        return "".join(lines)
 
-    return lines, int(failed)
+    relations = f"generator_relations,,exact,{'pass' if relations_ok else 'fail'}\n"
+    rows = _grid("invariant,x,residual,pass\n" + relations, args.x_range, sample)
+    return chain(rows, _raise_if_failed(tally, "verify rows failed"))
 
 
-def cmd_simulate(args) -> tuple[Iterator[str], int]:
+def cmd_simulate(args) -> Iterator[str]:
     scheme = SchemeId(args.scheme)
     if args.exact:
         orbit, text = _exact_orbit(args, scheme), _ExactText()
@@ -331,10 +344,10 @@ def cmd_simulate(args) -> tuple[Iterator[str], int]:
             f"{step},{p!r},{q!r},{text[energy]},{norm!r}\n"
             for step, (p, q, norm, energy) in enumerate(_float_orbit(args, scheme))
         )
-    return chain(["step,p,q,shadow_energy,p2_plus_q2\n"], lines), 0
+    return chain(["step,p,q,shadow_energy,p2_plus_q2\n"], lines)
 
 
-def cmd_shadow(args) -> tuple[Iterator[str], int]:
+def cmd_shadow(args) -> Iterator[str]:
     cells = (_ExactText() if args.exact else _FloatText()).cells
     if args.exact:
         streams = [_quadratic_column(args, s, shadow_form(s, args.x).entries()) for s in SchemeId]
@@ -346,15 +359,13 @@ def cmd_shadow(args) -> tuple[Iterator[str], int]:
         ",".join([str(step), *chain.from_iterable(map(cells, energies, row0))]) + "\n"
         for step, energies in enumerate(chain([row0], rows))
     )
-    return chain(["step,first_energy,first_drift,second_energy,second_drift\n"], lines), 0
+    return chain(["step,first_energy,first_drift,second_energy,second_drift\n"], lines)
 
 
-def cmd_sweep(args) -> tuple[Iterator[str], int]:
+def cmd_sweep(args) -> Iterator[str]:
     # The second-order map is the first conjugated by a half kick, so every
     # column is the same for both schemes.
-    lines = ["x,trace,stability,spectral_radius,shadow_det,generator_scale,theta\n"]
-    numerators, b = args.x_range
-    for n in numerators:
+    def line(n: int, b: int) -> str:
         x = _float("x", n, b)
         mat, mat_scale, form, form_scale, _, _ = _scaled_matrices(SchemeId.FIRST_ORDER, n, b)
         trace = mat.trace()
@@ -364,12 +375,14 @@ def cmd_sweep(args) -> tuple[Iterator[str], int]:
         except SeriesDivergesError:
             scale_text = "DIVERGENT"
         theta_text = repr(rotation_angle(x)) if abs(trace) <= 2 * mat_scale else ""
-        lines.append(
+        return (
             f"{x!r},{_float('trace', trace, mat_scale)!r},{stability.value},"
             f"{spectral_radius(x)!r},{_float('shadow_det', form.det(), form_scale * form_scale)!r},"
             f"{scale_text},{theta_text}\n"
         )
-    return lines, 0
+
+    header = "x,trace,stability,spectral_radius,shadow_det,generator_scale,theta\n"
+    return _grid(header, args.x_range, line)
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +480,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Its handler returns finished lines, streamed here;
+    it raises ValueError (exit 2) before the first for input it refuses, and
+    RuntimeError (exit 1, the CSV kept) after the last if a check failed.  A
+    later ValueError or a failed write exits 2 and removes a partial --out."""
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
-    # Every handler returns finished lines.  simulate and shadow stream
-    # them; the others build all their lines first, so a run that fails
-    # midway writes no CSV.  An exit 2 after --out was opened removes the
-    # partial file; rows already written to stdout stay there.
     out, handle = args.out, None
     try:
-        lines, code = args.handler(args)
+        lines = args.handler(args)
         handle = sys.stdout if out is None else open(out, "w", newline="")
-        handle.writelines(lines)
-        handle.flush()
-        return code
+        try:
+            handle.writelines(lines)
+        finally:  # in the outer try: a failed write outranks a failed check
+            handle.flush()
+        return 0
     except RuntimeError as exc:  # a mathematical check tripped
         print(f"shadowosc: check failed: {exc}", file=sys.stderr)
         return 1

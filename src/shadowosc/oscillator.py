@@ -454,14 +454,13 @@ def stability_classify(x: Scalar) -> StabilityClass:
 
 
 def spectral_radius(x: Scalar) -> float:
-    """Largest eigenvalue magnitude of the one-step map.  NaN raises
-    ValueError."""
-    trace = abs(float(_map_trace(x)))
-    if trace <= 2.0:
+    """Largest eigenvalue magnitude of the one-step map, ((r + sqrt((r - 2)(r + 2)))/2)^2
+    at r = |x| > 2: r - 2 is exact up to 4 (Sterbenz).  NaN raises ValueError."""
+    if abs(float(_map_trace(x))) <= 2.0:
         return 1.0
-    if math.isinf(trace * trace):  # |trace| above ~1e154: factor it out of the root
-        return trace * ((1.0 + math.sqrt(1.0 - 4.0 / trace / trace)) / 2.0)
-    return (trace + math.sqrt(trace * trace - 4.0)) / 2.0
+    r = abs(float(x))
+    root = (r + math.sqrt((r - 2.0) * (r + 2.0))) / 2.0
+    return root * root
 
 
 def rotation_angle(x: Scalar) -> float:

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import errno
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -9,12 +11,13 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shadowosc import cli, goldberg, oscillator
@@ -573,8 +576,7 @@ def test_shadow_energy_stream_equals_exact_orbit_energies(x, scheme):
             for (n, d), (n0, d0) in zip(row, [orbit[0] for orbit in orbits]):
                 cells += [cli._format_ratio(n, d), cli._format_ratio(n * d0 - n0 * d, d * d0)]
             expected.append(",".join([str(step), *cells]) + "\n")
-        lines, code = cli.cmd_shadow(args)
-        assert (list(lines), code) == (expected, 0)
+        assert list(cli.cmd_shadow(args)) == expected
 
 
 def test_exact_orbit_recurrence_holds_for_any_step_matrix(monkeypatch):
@@ -726,6 +728,81 @@ def test_unwritable_out_exits_two_naming_the_path(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_check_exits_one_keeping_the_whole_csv(tmp_path, capsys, monkeypatch):
+    # The check fails after the last row: every row is written, to stdout
+    # and to --out alike, and stderr holds one line.
+    monkeypatch.setattr(goldberg, "goldberg_coeff_two", lambda w: Fraction(7, 13))
+    target = tmp_path / "rows.csv"
+    for argv, message, lines in (
+        (["verify", "--x", "1.999"], "2 of 9 verify rows failed", 10),
+        (["coeffs", "--max-degree", "2"], "4 of 4 words differ from the oracle", 5),
+    ):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"shadowosc: check failed: {message}\n"
+        assert len(captured.out.splitlines()) == lines
+        assert cli.main(["--out", str(target), *argv]) == 1
+        assert tuple(capsys.readouterr()) == ("", captured.err)
+        assert target.read_text() == captured.out
+
+
+def test_grid_memory_does_not_grow_with_samples(tmp_path):
+    # Held until the run ended, these rows peaked at 1.6 and 2.0 MB;
+    # streamed, the peak is a few hundred kB.
+    target = tmp_path / "grid.csv"
+    for argv, lines in (
+        (["sweep", "--x-range", "0:1:1/10000"], 1 + 10001),
+        (["verify", "--x-range", "0:1:1/2500"], 2 + 6 + 8 * 2500),  # x = 0 has no log rows
+    ):
+        tracemalloc.start()
+        try:
+            code = cli.main(["--out", str(target), *argv])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**19, (argv, peak)
+        assert target.read_bytes().count(b"\n") == lines
+
+
+def test_term_cap_partway_keeps_the_rows_before_it(tmp_path, capsys, monkeypatch):
+    # Both ends of 1.9:2.1 are cheap (2.1 sums no series), but with the cap
+    # at 10^4 terms the series fails partway, near x = 1.997.
+    monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 10**4)
+    target = tmp_path / "rows.csv"
+    for command, header, per_sample in (("sweep", "x,", 1), ("verify", "invariant,", 8)):
+        argv = [command, "--x-range", "1.9:2.1:1/1000"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "shadowosc: error: generator scale series needs more than 10000 terms at x = 1.99"
+        )
+        assert captured.err.count("\n") == 1
+        lines = captured.out.splitlines(keepends=True)
+        assert lines[0].startswith(header) and all(line.endswith("\n") for line in lines)
+        samples = (len(lines) - 1 - (command == "verify")) // per_sample
+        assert 90 <= samples <= 99  # 1.9 up to the last x below the cap's reach
+        assert cli.main(["--out", str(target), *argv]) == 2
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
+
+def test_no_x_reaches_the_scale_series_twice(capsys, monkeypatch):
+    # Each grid's ends are computed before its header and reused in place.
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return generator_scale(x)
+
+    monkeypatch.setattr(cli, "generator_scale", counted)
+    for command in ("verify", "sweep"):
+        for grid in ("--x-range=-3:3:1/7", "--x-range=1.9:2.1:1/100", "--x=1.5", "--x=3"):
+            calls.clear()
+            run_cli(capsys, command, grid)
+            assert calls and len(calls) == len(set(calls)), (command, grid, calls)
+
+
 def console_script(argv, prelude="", **kwargs):
     """run(), the console script's entry point, in a new interpreter after
     the statements in prelude."""
@@ -742,7 +819,9 @@ def test_failed_write_exits_two_naming_the_target():
     # /dev/full fails every write with ENOSPC.  Exit 1 would claim a failed
     # check, and Python's own retry of the buffered rows at exit must not
     # add a second message.
-    for argv in (["sweep", "--x", "1"], ["simulate", "--steps", "100000"]):
+    # verify --x 1.999 fails a check after its last row: the write still outranks it.
+    argvs = (["sweep", "--x", "1"], ["simulate", "--steps", "100000"], ["verify", "--x", "1.999"])
+    for argv in argvs:
         for out, target in ((["--out", "/dev/full"], "--out /dev/full"), ([], "stdout")):
             with open("/dev/full", "w") as full:
                 proc = console_script([*out, *argv], stdout=full)
@@ -1086,3 +1165,107 @@ def test_verify_checks_each_sample(capsys, monkeypatch, invariant, perturb):
     assert code == 1
     failed = [row for row in parse_csv(out) if row[3] == "fail"]
     assert failed == [[f"{invariant}_second", "0.5", "exact", "fail"]]
+
+
+# Generated command lines: every subcommand, x from 1e-400 to 1e400, near
+# and at +-2, and rationals within 10^-20 of +-2.
+def _signed(texts):
+    return st.builds(lambda text, negative: "-" * negative + text, texts, st.booleans())
+
+
+X_TEXTS = _signed(
+    st.one_of(
+        st.builds("{}e{}".format, st.integers(1, 99), st.integers(-401, 398)),
+        st.sampled_from(["0", "1", "2", "4/2", "1.92", "1.99", "1.999", "1.99999", "2.00001"]),
+        st.integers(-40, 40).map(lambda k: repr(2 + k * 2.0**-52)),
+        st.integers(1, 10**6).flatmap(
+            lambda m: st.integers(-m, m).map(lambda k: str(2 + Fraction(k, m * 10**20)))
+        ),
+    )
+)
+STATE_TEXTS = st.one_of(
+    st.sampled_from(["0", "1", "-1/3", "5/2", "1e-400", "1e200", "-1e400"]),
+    st.fractions(max_denominator=1000).map(str),
+)
+STEP_TEXTS = st.sampled_from(["1", "1/7", "1/1000", "1e-5", "1e-22", str(Fraction(2.0**-51))])
+
+
+@st.composite
+def _x_choices(draw):
+    start = draw(X_TEXTS)
+    if draw(st.booleans()):
+        return ["--x", start]
+    step, count = draw(STEP_TEXTS), draw(st.integers(1, 50))
+    stop = Fraction(start) + (count - 1) * Fraction(step)
+    return ["--x-range", f"{start}:{stop}:{step}"]
+
+
+@st.composite
+def _commands(draw):
+    command = draw(st.sampled_from(["coeffs", "verify", "sweep", "simulate", "shadow"]))
+    if command == "coeffs":
+        letters, degree = draw(st.sampled_from(["2", "3"])), draw(st.integers(1, 6))
+        return ["coeffs", "--letters", letters, "--max-degree", str(degree)]
+    if command in ("verify", "sweep"):
+        return [command, *draw(_x_choices())]
+    argv = [command, "--x", draw(X_TEXTS), "--steps", str(draw(st.integers(0, 50)))]
+    argv += ["--p0", draw(STATE_TEXTS), "--q0", draw(STATE_TEXTS)]
+    if command == "simulate":
+        argv += ["--scheme", draw(st.sampled_from(["first", "second"]))]
+    return argv + ["--exact"] * draw(st.booleans())
+
+
+# Cells that are not numbers, by command and column: None admits any word.
+_WORD_CELLS = {
+    "coeffs": {0: None, 3: {"true", "false"}},
+    "verify": {0: None, 1: {""}, 2: {"exact"}, 3: {"pass", "fail"}},
+    "sweep": {2: {"elliptic", "parabolic", "hyperbolic"}, 5: {"DIVERGENT"}, 6: {""}},
+}
+
+
+def _is_finite_number(cell):
+    """A finite Decimal, or a Fraction such as 1/2 (Fraction takes no inf or nan)."""
+    try:
+        return Decimal(cell).is_finite()
+    except InvalidOperation:
+        pass
+    try:
+        Fraction(cell)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_commands(), out=st.sampled_from([None, "rows.csv", "missing/rows.csv"]))
+def test_generated_command_lines_keep_the_exit_contract(monkeypatch, argv, out):
+    monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 10**4)
+    with contextlib.ExitStack() as stack:
+        target = None if out is None else Path(stack.enter_context(TemporaryDirectory())) / out
+        stdout, stderr = io.StringIO(), io.StringIO()
+        stack.enter_context(contextlib.redirect_stdout(stdout))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        code = cli.main([*(["--out", str(target)] if target else []), *argv])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err
+        csv = stdout.getvalue()
+        if target is not None and code != 2:
+            assert csv == ""
+            csv = target.read_text()
+        if code == 2:
+            assert err.startswith("shadowosc: error: ") and err.count("\n") == 1, err
+            assert target is None or not target.exists()
+        elif code == 1:
+            assert err.startswith("shadowosc: check failed: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    if code == 1:
+        assert any(row[-1] in ("fail", "false") for row in rows)
+    words = _WORD_CELLS.get(argv[0], {})
+    for row in rows:
+        for column, cell in enumerate(row):
+            allowed = words.get(column, set())
+            assert allowed is None or cell in allowed or _is_finite_number(cell), (argv, row)

@@ -478,6 +478,26 @@ def test_spectral_radius_values():
     assert spectral_radius(2.5) == pytest.approx(4.0, rel=1e-15)
 
 
+def radius_reference(x: float) -> Fraction:
+    """The spectral radius ((r + sqrt(r^2 - 4))/2)^2 at r = |x| > 2, with
+    the root taken by math.isqrt to 2^-300 absolute (2 + 2^-52 rounds to 2)."""
+    r, scale = Fraction(abs(x)), 2**300
+    root = Fraction(math.isqrt(int((r * r - 4) * scale * scale)), scale)
+    return ((r + root) / 2) ** 2
+
+
+@pytest.mark.parametrize(
+    "x",
+    [2 + 2.0**-k for k in range(1, 53)] + [-2.5, 3.0, 1e3, 1e50, 1e110, 1e150, 1.2e154],
+)
+def test_spectral_radius_within_two_ulp_of_an_exact_reference(x):
+    # |x| - 2 is exact near 2, so no digits cancel where 1 - x^2 lost up
+    # to 8.9e-13 relative; the square doubles the root's relative error.
+    reference = radius_reference(x)
+    error = abs(Fraction(spectral_radius(x)) - reference)
+    assert error <= 2 * Fraction(math.ulp(float(reference))), x
+
+
 def test_spectral_radius_second_scheme_where_x_cubed_overflows():
     # The second map's x^3 = 1e330 overflows a float, but the shared trace
     # 2 - x^2 = -1e220 does not.
