@@ -23,6 +23,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import chain
 
+from . import oscillator
 from .oscillator import (
     HALF,
     PhaseState,
@@ -47,8 +48,8 @@ MAX_X_SAMPLES = 10**6
 
 # coeffs --max-degree per letter count: the default, high enough for n <= 5
 # in every closed-form sequence, and the largest.  The oracle's time grows
-# about 2x per degree for two letters and 3-4x for three: 0.3 s / 25 MB
-# at two letters, degree 14, and 0.6 s / 40 MB at three letters, degree
+# about 2x per degree for two letters and 3x for three: 0.2 s / 21 MB
+# at two letters, degree 14, and 0.3 s / 32 MB at three letters, degree
 # 10, on Python 3.11 (2-vCPU KVM Xeon guest).
 _DEFAULT_DEGREE = {2: 12, 3: 8}
 MAX_DEGREE = {2: 14, 3: 10}
@@ -249,6 +250,21 @@ def _raise_if_failed(tally: list[int], what: str) -> Iterator[str]:
     yield from ()
 
 
+def _generator_scale(n: int, b: int, x: float) -> float | None:
+    """generator_scale(x) at x = n/b, or None past the radius, |n| >= 2b.
+    Inside it, an x whose float rounds to +-2.0 needs more terms than the
+    cap: ValueError names the exact x."""
+    try:
+        return generator_scale(x)
+    except SeriesDivergesError:
+        if abs(n) >= 2 * b:
+            return None
+        cap = oscillator.MAX_SCALE_TERMS
+        raise ValueError(
+            f"generator scale series needs more than {cap} terms at x = {Fraction(n, b)}"
+        ) from None
+
+
 def _grid(header: str, x_range: tuple[range, int], sample) -> Iterator[str]:
     """header, then the text sample(n, b) at each x = n/b.  Both ends are
     computed before this returns: a sample's float overflows grow with |x|,
@@ -307,7 +323,7 @@ def cmd_verify(args) -> Iterator[str]:
 
         # A nonzero x that rounds to 0.0 has the float map I: the rows of x = 0.
         if x and abs(n) < 2 * b:
-            scale = generator_scale(x)
+            scale = _generator_scale(n, b, x)
             for scheme in SchemeId:
                 logmat = matrix_log_principal(map_matrix(scheme, x))
                 target = (x * scale) * generator_direction(scheme, x)
@@ -370,10 +386,8 @@ def cmd_sweep(args) -> Iterator[str]:
         mat, mat_scale, form, form_scale, _, _ = _scaled_matrices(SchemeId.FIRST_ORDER, n, b)
         trace = mat.trace()
         stability = classify_trace(trace, mat_scale)
-        try:
-            scale_text = repr(generator_scale(x))
-        except SeriesDivergesError:
-            scale_text = "DIVERGENT"
+        scale = _generator_scale(n, b, x)
+        scale_text = "DIVERGENT" if scale is None else repr(scale)
         theta_text = repr(rotation_angle(x)) if abs(trace) <= 2 * mat_scale else ""
         return (
             f"{x!r},{_float('trace', trace, mat_scale)!r},{stability.value},"

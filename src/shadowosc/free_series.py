@@ -10,10 +10,10 @@ This is the brute-force side of every coefficient identity checked in
 of single letters and takes the formal logarithm, with no closed-form
 knowledge baked in.  It works on integers over one known denominator
 per word length (a divided-power scaling), in dense lists indexed by each
-word's base-r code, so its hot loop takes no gcd and hashes no word; it
-builds Fractions only for the words of its result.  The Fraction ring
-operations ``series_mul``, ``series_exp`` and ``series_log`` are its
-reference.
+word's base-r code, so its hot loop takes no gcd and hashes no word.  It
+takes the log by Horner's rule and builds one Fraction per distinct
+coefficient.  The Fraction ring operations ``series_mul``,
+``series_exp`` and ``series_log`` are its reference.
 """
 
 from __future__ import annotations
@@ -211,12 +211,16 @@ def log_exp_product(
     * ``exp(s x_l)`` has ``s^m / m!`` on ``x_l^m``, held as ``(s b)^m``;
     * a product picks up the binomial ``|uv|! / (|u|! |v|!)``, so
       ``R[uv] += C(|uv|, |u|) * P[u] * Q[v]`` stays integral;
-    * with ``S = P - 1`` and ``M = lcm(1..max_degree)``, the log
-      ``sum (-1)^(m+1) S^m / m`` is held as ``sum (-1)^(m+1) (M/m) S^m``.
+    * with ``S = P - 1``, ``N = max_degree`` and ``M = lcm(1..N)``, the
+      log ``sum (-1)^(m+1) S^m / m`` is held, by Horner's rule, as
+      ``S (c_1 + S (c_2 + ... + S c_N))`` with ``c_m = (-1)^(m+1) M/m``.
+      The factor that ``S^k`` multiplies is cut at degree ``N - k``:
+      about ``r/(r-1) r^N`` operations, against ``N r^N`` for each power.
 
     Each held value is the true coefficient times a positive integer
     fixed by the word length, so nothing is rounded and no gcd is taken
-    until one Fraction per surviving word divides that integer out.
+    until one Fraction per distinct value of each length divides that
+    integer out, shared by every word that holds it.
 
     The integers live in dense lists, one per word length: with the
     ``r`` distinct letters sorted, a word is its base-``r`` code, so the
@@ -236,44 +240,41 @@ def log_exp_product(
     letters = sorted({index for index, _ in scales})
     radix, lengths = len(letters), range(max_degree + 1)
     base = math.lcm(*(scale.denominator for _, scale in scales))
-    product = [[1]] + [[0] * radix**n for n in lengths[1:]]
+    product = [[1]]  # each _concat fills in lengths 1..max_degree
     for index, scale in scales:
         weight = scale.numerator * (base // scale.denominator)
         digit = letters.index(index)  # x_l^m is m base-r digits, all this one
         factor = [(m, digit * sum(radix**k for k in range(m)), weight**m) for m in lengths]
-        product = _concat(product, factor, radix)
+        product = _concat(product, factor, radix, max_degree)
     product[0][0] = 0  # S = P - 1; every factor has constant term 1
     shifted = [(m, c, v) for m in lengths for c, v in enumerate(product[m]) if v]
     common = math.lcm(*range(1, max_degree + 1))
-    total = [[0] * radix**n for n in lengths]
-    power = product
-    for m in range(1, max_degree + 1):
-        coeff = common // m if m % 2 else -(common // m)
-        for n in range(m, max_degree + 1):
-            total[n] = [t + coeff * p for t, p in zip(total[n], power[n])]
-        power = _concat(power, shifted, radix)
-    denominators = [common * base**n * math.factorial(n) for n in lengths]
-    return FreeSeries(max_degree, {
-        word: Fraction(value, denominators[n])
-        for n in lengths
-        for word, value in zip(itertools.product(letters, repeat=n), total[n])
-        if value
-    })
+    # Horner: total = S (c_m + total) for m = N..1, cut at degree N - m + 1.
+    total = [[0]]
+    for m in range(max_degree, 0, -1):
+        total[0][0] += common // m if m % 2 else -(common // m)
+        total = _concat(total, shifted, radix, max_degree - m + 1)
+    coeffs = {}
+    for n, row in enumerate(total):
+        shared = {v: Fraction(v, common * base**n * math.factorial(n)) for v in {*row} - {0}}
+        words = itertools.product(letters, repeat=n)
+        coeffs.update((word, shared[v]) for word, v in zip(words, row) if v)
+    return FreeSeries(max_degree, coeffs)
 
 
 def _concat(
-    left: list[list[int]], right: list[tuple[int, int, int]], radix: int
+    left: list[list[int]], right: list[tuple[int, int, int]], radix: int, degree: int
 ) -> list[list[int]]:
-    """Truncated concatenation product of two divided-power series:
-    ``left`` dense (``radix^n`` ints per length ``n``), ``right`` a list of
-    ``(length, code, value)`` words, shortest first.  Each pair carries
-    the binomial ``C(|u| + |v|, |u|)``."""
-    out = [[0] * len(row) for row in left]
+    """Concatenation product, truncated at ``degree``, of two divided-power
+    series: ``left`` dense (``radix^n`` ints per length ``n``), ``right`` a
+    list of ``(length, code, value)`` words, shortest first.  Each pair
+    carries the binomial ``C(|u| + |v|, |u|)``."""
+    out = [[0] * radix**n for n in range(degree + 1)]
     for n, row in enumerate(left):
         if not any(row):
             continue
         for m, code, value in right:
-            if n + m >= len(out):
+            if n + m > degree:
                 break
             stride = radix**m
             scale = math.comb(n + m, n) * value

@@ -15,6 +15,7 @@ oracle in :mod:`shadowosc.free_series`; no closed form is trusted bare.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as cartesian
@@ -37,7 +38,7 @@ def scale_series_coeff(n: int) -> Fraction:
 
 def _alternates(word) -> bool:
     """No letter of word sits next to itself."""
-    return all(left != right for left, right in zip(word, word[1:]))
+    return all(map(operator.ne, word, word[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +119,9 @@ def nonalternating_support(max_degree: int) -> dict[int, int]:
     the lone exception, where both such words cancel); only the nilpotent
     collapse removes them.
     """
-    oracle = two_letter_oracle(max_degree)
-    counts = {degree: 0 for degree in range(1, max_degree + 1)}
-    for word in oracle.coeffs:
-        if not _alternates(word):
-            counts[len(word)] += 1
+    counts = dict.fromkeys(range(1, max_degree + 1), 0)
+    for word in two_letter_oracle(max_degree).coeffs:
+        counts[len(word)] += not _alternates(word)
     return counts
 
 

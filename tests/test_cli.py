@@ -717,6 +717,20 @@ def test_exit_two_leaves_no_csv(tmp_path, capsys, monkeypatch):
             assert not target.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("x", ["1.99999999999999999999", "-1.99999999999999999999"])
+def test_x_inside_the_radius_whose_float_is_two_exits_two(capsys, command, x):
+    # |x| < 2, so the series converges, but the float x is +-2.0: no float
+    # sum reaches it within the term cap, and it is not DIVERGENT.
+    assert cli.main([command, "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "shadowosc: error: generator scale series needs more than 10000000 terms"
+        f" at x = {Fraction(x)}\n"
+    )
+
+
 def test_unwritable_out_exits_two_naming_the_path(tmp_path, capsys):
     for target in (tmp_path / "missing" / "rows.csv", tmp_path):  # no directory; a directory
         for argv in (["sweep", "--x", "1"], ["simulate", "--steps", "3"]):
@@ -1266,6 +1280,8 @@ def test_generated_command_lines_keep_the_exit_contract(monkeypatch, argv, out):
         assert any(row[-1] in ("fail", "false") for row in rows)
     words = _WORD_CELLS.get(argv[0], {})
     for row in rows:
+        if argv[0] == "sweep" and row[5] == "DIVERGENT":
+            assert row[2] in ("hyperbolic", "parabolic"), (argv, row)
         for column, cell in enumerate(row):
             allowed = words.get(column, set())
             assert allowed is None or cell in allowed or _is_finite_number(cell), (argv, row)

@@ -133,6 +133,11 @@ def reference_log_exp_product(weights, max_degree):
         (((0, 1), (4, 1)), 8),
         (((C, 1), (A, 2)), 8),
         (((A, 1), (A, -1), (B, 1)), 7),
+        # Horner's factors, each cut to the degree it can still reach.
+        (((A, Fraction(-3, 5)), (B, Fraction(7, 4)), (C, Fraction(1, 3))), 7),
+        (((A, Fraction(2, 3)), (B, -1)), 1),
+        (((A, 1), (B, Fraction(-1, 2)), (C, 3)), 1),
+        (((A, 0), (B, 0), (C, 0)), 6),  # S = 0: the zero series
     ],
 )
 def test_log_exp_product_matches_fraction_reference(weights, max_degree):
