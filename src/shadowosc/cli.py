@@ -301,43 +301,39 @@ def cmd_coeffs(args) -> Iterator[str]:
 def cmd_verify(args) -> Iterator[str]:
     relations_ok = all(ok for _, ok in check_generator_relations())
     tally = [1, int(not relations_ok)]  # rows, failed rows
+    names = ("det_map", "antisymmetry", "shadow_det_sign", "log_vs_generator")
+    labels = [(scheme, *(f"{name}_{scheme.value}" for name in names)) for scheme in SchemeId]
 
     def sample(n: int, b: int) -> str:
         x = _float("x", n, b)
-        x_text, lines = repr(x), []
-
-        def emit(name: str, ok: bool, residual: str = "exact"):
-            tally[1] += not ok
-            lines.append(f"{name},{x_text},{residual},{'pass' if ok else 'fail'}\n")
-
         # 2 - |x| = edge / b, so the form's determinant must share edge's sign.
-        edge = 2 * b - abs(n)
-        for scheme in SchemeId:
+        edge, rows = 2 * b - abs(n), []
+        for scheme, det_map, antisymmetry, det_sign, _ in labels:
             mat, mat_scale, form, _, direction, _ = _scaled_matrices(scheme, n, b)
-            emit(f"det_map_{scheme.value}", mat.det() == mat_scale * mat_scale)
             product = form @ direction
             skew = product.transpose() + product
-            emit(f"antisymmetry_{scheme.value}", skew == skew.zero())
             det = form.det()
-            emit(f"shadow_det_sign_{scheme.value}", det * edge > 0 or det == edge == 0)
-
-        # A nonzero x that rounds to 0.0 has the float map I: the rows of x = 0.
-        if x and abs(n) < 2 * b:
+            rows += [
+                (det_map, mat.det() == mat_scale * mat_scale, "exact"),
+                (antisymmetry, skew == skew.zero(), "exact"),
+                (det_sign, det * edge > 0 or det == edge == 0, "exact"),
+            ]
+        if edge <= 0:
+            rows.append(("divergence_signaled", _generator_scale(n, b, x) is None, "exact"))
+        elif x:  # a nonzero x that rounds to 0.0 has the float map I: the rows of x = 0
             scale = _generator_scale(n, b, x)
-            for scheme in SchemeId:
+            for scheme, *_, log_vs_generator in labels:
                 logmat = matrix_log_principal(map_matrix(scheme, x))
                 target = (x * scale) * generator_direction(scheme, x)
                 residual = logmat.max_abs_diff(target)
-                emit(f"log_vs_generator_{scheme.value}", residual <= _LOG_TOL, repr(residual))
-        elif abs(n) >= 2 * b:
-            try:
-                generator_scale(x)
-                signalled = False
-            except SeriesDivergesError:
-                signalled = True
-            emit("divergence_signaled", signalled)
-        tally[0] += len(lines)
-        return "".join(lines)
+                rows.append((log_vs_generator, residual <= _LOG_TOL, repr(residual)))
+        tally[0] += len(rows)
+        tally[1] += sum(not ok for _, ok, _ in rows)
+        x_text = repr(x)
+        return "".join(
+            f"{label},{x_text},{residual},{'pass' if ok else 'fail'}\n"
+            for label, ok, residual in rows
+        )
 
     relations = f"generator_relations,,exact,{'pass' if relations_ok else 'fail'}\n"
     rows = _grid("invariant,x,residual,pass\n" + relations, args.x_range, sample)

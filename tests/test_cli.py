@@ -815,6 +815,17 @@ def test_no_x_reaches_the_scale_series_twice(capsys, monkeypatch):
             calls.clear()
             run_cli(capsys, command, grid)
             assert calls and len(calls) == len(set(calls)), (command, grid, calls)
+            # Each sample once, except that verify makes no call at x = 0.
+            xs = [float(x) for x in grid_xs(grid) if x or command == "sweep"]
+            assert sorted(calls) == sorted(xs), (command, grid, calls)
+
+
+def test_verify_fails_a_divergence_the_series_does_not_signal(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generator_scale", lambda x: 1.0)
+    code, out = run_cli(capsys, "verify", "--x", "3")
+    assert code == 1
+    assert out.endswith("\ndivergence_signaled,3.0,exact,fail\n")
+    assert out.count(",fail\n") == 1
 
 
 def console_script(argv, prelude="", **kwargs):
@@ -1069,6 +1080,15 @@ def test_x_and_x_range_are_exclusive(capsys):
         assert "not allowed with argument --x" in captured.err
 
 
+def grid_xs(grid):
+    """The exact samples of "--x=X" or "--x-range=START:STOP:STEP"."""
+    kind, value = grid[2:].split("=")
+    if kind == "x":
+        return [Fraction(value)]
+    start, stop, step = map(Fraction, value.split(":"))
+    return [start + i * step for i in range(int((stop - start) / step) + 1)]
+
+
 def reference_grid_rows(command, scheme, xs):
     """verify (both schemes) or sweep (one scheme) rows and exit code,
     with every exact column computed on Fractions from map_matrix,
@@ -1134,15 +1154,11 @@ def reference_grid_rows(command, scheme, xs):
         "--x=2",
         "--x=-3/2",
         "--x=1.9999",  # a known log_vs_generator fail: exit 1
+        "--x-range=1/8000:3:1/1000",  # perfbench's float_scan grid: 160 fail rows, exit 1
     ],
 )
 def test_grid_rows_match_fraction_reference(capsys, grid):
-    kind, value = grid[2:].split("=")
-    if kind == "x":
-        xs = [Fraction(value)]
-    else:
-        start, stop, step = map(Fraction, value.split(":"))
-        xs = [start + i * step for i in range(int((stop - start) / step) + 1)]
+    xs = grid_xs(grid)
     assert run_cli(capsys, "verify", grid)[::-1] == reference_grid_rows("verify", None, xs)
     # The schemes are conjugate, so sweep has one reference for both.
     expected = reference_grid_rows("sweep", SchemeId.FIRST_ORDER, xs)
