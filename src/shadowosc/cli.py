@@ -33,10 +33,7 @@ from .oscillator import (
     _scaled_matrices,
     check_generator_relations,
     classify_trace,
-    generator_direction,
     generator_scale,
-    map_matrix,
-    matrix_log_principal,
     rotation_angle,
     scaled_orbit,
     shadow_form,
@@ -139,9 +136,7 @@ def _float(name: str, n: int, d: int) -> float:
         raise ValueError(f"{name} = {_format_ratio(n, d)} is too large for a float") from None
 
 
-# verify's absolute gate on log_vs_generator residuals, 100x above the
-# scale series' stop, so truncation never decides a comparison.
-_LOG_TOL = 1e-12
+_LOG_TOL = 1e-12  # verify's absolute gate on log_vs_generator residuals
 
 
 def _float_orbit(args, scheme: SchemeId) -> Iterator[tuple[float, float, float, float]]:
@@ -216,7 +211,8 @@ def _quadratic_column(args, scheme: SchemeId, form) -> Iterator[tuple[int, int]]
     symmetric square of K = D map (trace T, determinant t), for any K:
     N3 = c (N2 - t N1) + t^3 N0, c = T^2 - t; only rows 0-2 step the state."""
     (a, b, c, d), form_scale = _common_denominator(form)
-    (k11, k12, k21, k22), step = _common_denominator(map_matrix(scheme, args.x).entries())
+    step_map = oscillator.map_matrix(scheme, args.x)
+    (k11, k12, k21, k22), step = _common_denominator(step_map.entries())
     orbit = scaled_orbit(PhaseState(args.p0, args.q0), scheme, args.x, 2)
     rows = [(a * p * p + (b + c) * p * q + d * q * q, form_scale * e * e) for (p, q), e in orbit]
     yield from rows[: args.steps + 1]
@@ -307,9 +303,13 @@ def cmd_verify(args) -> Iterator[str]:
     def sample(n: int, b: int) -> str:
         x = _float("x", n, b)
         # 2 - |x| = edge / b, so the form's determinant must share edge's sign.
-        edge, rows = 2 * b - abs(n), []
-        for scheme, det_map, antisymmetry, det_sign, _ in labels:
-            mat, mat_scale, form, _, direction, _ = _scaled_matrices(scheme, n, b)
+        edge, rows, log_rows, gap = 2 * b - abs(n), [], [], None
+        if edge > 0 and x:  # a nonzero x that rounds to 0.0 has the float map I: the rows of x = 0
+            scale, four_b_sq = _generator_scale(n, b, x), 4 * b * b  # exits 2 where sin rounds to 0
+            sin = abs(x) * math.sqrt((four_b_sq - n * n) / four_b_sq)  # |x| sqrt(1 - x^2/4)
+            gap = abs(x) * abs(math.atan2(sin, (four_b_sq - 2 * n * n) / four_b_sq) / sin - scale)
+        for scheme, det_map, antisymmetry, det_sign, log_vs_generator in labels:
+            mat, mat_scale, form, _, direction, direction_scale = _scaled_matrices(scheme, n, b)
             product = form @ direction
             skew = product.transpose() + product
             det = form.det()
@@ -318,15 +318,14 @@ def cmd_verify(args) -> Iterator[str]:
                 (antisymmetry, skew == skew.zero(), "exact"),
                 (det_sign, det * edge > 0 or det == edge == 0, "exact"),
             ]
+            if gap is not None:  # log(map) = (theta/sin theta) (K - (T/2) I)/D, which is x G/g
+                traceless = 2 * mat - mat.trace() * mat.identity()
+                exact = direction_scale * b * traceless == 2 * mat_scale * n * direction
+                residual = gap * (max(map(abs, direction.entries())) / direction_scale)
+                log_rows.append((log_vs_generator, exact and residual <= _LOG_TOL, repr(residual)))
         if edge <= 0:
             rows.append(("divergence_signaled", _generator_scale(n, b, x) is None, "exact"))
-        elif x:  # a nonzero x that rounds to 0.0 has the float map I: the rows of x = 0
-            scale = _generator_scale(n, b, x)
-            for scheme, *_, log_vs_generator in labels:
-                logmat = matrix_log_principal(map_matrix(scheme, x))
-                target = (x * scale) * generator_direction(scheme, x)
-                residual = logmat.max_abs_diff(target)
-                rows.append((log_vs_generator, residual <= _LOG_TOL, repr(residual)))
+        rows += log_rows
         tally[0] += len(rows)
         tally[1] += sum(not ok for _, ok, _ in rows)
         x_text = repr(x)

@@ -260,36 +260,41 @@ def _inside_radius(x: Scalar) -> float:
 
 
 # generator_scale sums at most this many terms; x = 1.99999 needs about
-# 3.7e6 and x = 2 - 2^-52 about 10^14.
+# 3.0e6 and x = 2 - 2^-52 over 10^15.
 MAX_SCALE_TERMS = 10**7
 
 
 def generator_scale(x: Scalar) -> float:
     """Sum the even series sum_n (n!)^2/(2n+1)! x^(2n) by partial sums.
 
-    Terms are accumulated until the next one drops below 1e-14 of the
-    running total.  Each term is the last times x^2 n^2 / ((2n)(2n+1)),
-    with the counter n run as a float: for n <= MAX_SCALE_TERMS = 10^7,
-    n and (2n)(2n+1) are integers below 2^53 (about 9.0e15), so both are
-    exact as floats and every term has the bits of the integer-counter
-    recurrence.  For |x| >= 2 the series diverges and this raises
-    SeriesDivergesError rather than summing: past that step size there is
-    no continuous motion for the discrete map to shadow.  NaN raises
-    ValueError before any term is summed.  A series that needs more than
-    MAX_SCALE_TERMS terms (|x| just below 2) raises ValueError.
+    Each term is the last times x^2 n^2 / ((2n)(2n+1)), a ratio below
+    x^2/4, so the terms after one below 1e-14 (1 - x^2/4) of the running
+    total sum to less than 1e-14 of it: that term is the last added.  The
+    counter n and the denominator, carried by its differences 8n + 6, run
+    as floats: for n <= MAX_SCALE_TERMS = 10^7 both are integers below
+    2^53 (about 9.0e15), so both are exact as floats and every term has
+    the bits of the integer-counter recurrence.  For |x| >= 2 the series
+    diverges and this raises SeriesDivergesError rather than summing: past
+    that step size there is no continuous motion for the discrete map to
+    shadow.  NaN raises ValueError before any term is summed.  A series
+    that needs more than MAX_SCALE_TERMS terms (|x| just below 2) raises
+    ValueError.
     """
     x = _inside_radius(x)
     x_sq = x * x
+    tol = 1e-14 * (1.0 - x_sq / 4.0)
     term = 1.0
     total = 0.0
     n = 0.0
+    den, rise = 6.0, 14.0  # (2n)(2n+1) at n = 1, and its next difference
     for _ in range(MAX_SCALE_TERMS):
         total += term
         n += 1.0
-        two_n = n + n
-        term *= x_sq * n * n / (two_n * (two_n + 1.0))
-        if term < 1e-14 * total:
+        term *= x_sq * n * n / den
+        if term < tol * total:
             return total + term
+        den += rise
+        rise += 8.0
     raise ValueError(
         f"generator scale series needs more than {MAX_SCALE_TERMS} terms at x = {x}"
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shadowosc import cli, goldberg, oscillator
@@ -30,7 +30,6 @@ from shadowosc.oscillator import (
     generator_direction,
     generator_scale,
     map_matrix,
-    matrix_log_principal,
     rotation_angle,
     shadow_energy,
     shadow_form,
@@ -114,6 +113,15 @@ def test_verify_single_x(capsys):
         names = [row[0] for row in rows[1:]]
         assert "log_vs_generator_first" in names
         assert "divergence_signaled" not in names
+
+
+@pytest.mark.parametrize("x", ["1.92", "1.99", "1.9935", "-1.99"])
+def test_verify_log_rows_pass_near_the_radius(capsys, x):
+    # Each failed while the row took the float map's matrix log (1.9935 at 5.5e-11).
+    code, out = run_cli(capsys, "verify", "--x", x)
+    assert code == 0
+    logs = [row for row in parse_csv(out) if row[0].startswith("log_vs_generator")]
+    assert len(logs) == 2 and all(float(row[2]) <= 1e-12 and row[3] == "pass" for row in logs)
 
 
 def test_verify_x_that_rounds_to_zero_prints_the_rows_of_zero(capsys):
@@ -585,8 +593,8 @@ def test_exact_orbit_recurrence_holds_for_any_step_matrix(monkeypatch):
     def map_matrix_stub(scheme, x):
         return Mat2(Fraction(3, 2), 1, Fraction(-1, 3), 2)
 
+    # cli reads the map through the oscillator module, as scaled_orbit does.
     monkeypatch.setattr(oscillator, "map_matrix", map_matrix_stub)
-    monkeypatch.setattr(cli, "map_matrix", map_matrix_stub)
     for scheme in SchemeId:
         for start, steps in itertools.product([(1, 0), ("-3/5", "2/7")], (0, 1, 2, 3, 40)):
             rows = list(cli._exact_orbit(exact_orbit_args("1/3", start, steps), scheme))
@@ -1092,7 +1100,11 @@ def grid_xs(grid):
 def reference_grid_rows(command, scheme, xs):
     """verify (both schemes) or sweep (one scheme) rows and exit code,
     with every exact column computed on Fractions from map_matrix,
-    shadow_form, generator_direction and stability_classify."""
+    shadow_form, generator_direction and stability_classify.  A log row
+    holds if map - (trace/2) I = x direction exactly, and its residual is
+    |x| |theta/sin theta - scale| max|direction|, with cos theta = 1 - x^2/2
+    and sin theta = |x| sqrt(1 - x^2/4) each rounded once from the exact x:
+    the map's log is theta/sin theta times its traceless part."""
     schemes = {"first": SchemeId.FIRST_ORDER, "second": SchemeId.SECOND_ORDER}
     sign = lambda v: (v > 0) - (v < 0)
     if command == "sweep":
@@ -1130,13 +1142,15 @@ def reference_grid_rows(command, scheme, xs):
             for name, ok in checks.items():
                 rows.append([f"{name}_{label}", x_text, "exact", "pass" if ok else "fail"])
         if 0 < abs(x) < 2:
-            scale = generator_scale(float(x))
+            scale, size = generator_scale(float(x)), abs(float(x))
+            sin = size * math.sqrt(float(1 - x * x / 4))
+            gap = size * abs(math.atan2(sin, float(1 - x * x / 2)) / sin - scale)
             for label, scheme in schemes.items():
-                log = matrix_log_principal(map_matrix(scheme, float(x)))
-                target = (float(x) * scale) * generator_direction(scheme, float(x))
-                residual = log.max_abs_diff(target)
+                step, direction = map_matrix(scheme, x), generator_direction(scheme, x)
+                exact = step - (step.trace() / 2) * Mat2.identity() == x * direction
+                residual = gap * float(max(abs(v) for v in direction.entries()))
                 rows.append([f"log_vs_generator_{label}", x_text, repr(residual),
-                             "pass" if residual <= 1e-12 else "fail"])
+                             "pass" if exact and residual <= 1e-12 else "fail"])
         elif abs(x) >= 2:  # generator_scale raises there for every x
             rows.append(["divergence_signaled", x_text, "exact", "pass"])
     code = 1 if any(row[3] == "fail" for row in rows[1:]) else 0
@@ -1153,8 +1167,8 @@ def reference_grid_rows(command, scheme, xs):
         "--x=1e-200",
         "--x=2",
         "--x=-3/2",
-        "--x=1.9999",  # a known log_vs_generator fail: exit 1
-        "--x-range=1/8000:3:1/1000",  # perfbench's float_scan grid: 160 fail rows, exit 1
+        "--x=1.9999",  # a known log_vs_generator fail (the series at the float x): exit 1
+        "--x-range=1/8000:3:1/1000",  # perfbench's float_scan grid: 6 fail rows, exit 1
     ],
 )
 def test_grid_rows_match_fraction_reference(capsys, grid):
@@ -1179,6 +1193,8 @@ def test_grid_rows_match_fraction_reference(capsys, grid):
             "shadow_det_sign",
             lambda k, d, f, fs, g, gs: (k, d, Mat2(f.a, 0, 0, -f.d), fs, Mat2(g.a, -g.b, g.c, g.d), gs),
         ),
+        # Only the identity g b (2K - T I) = 2 D n G and the residual read g.
+        ("log_vs_generator", lambda k, d, f, fs, g, gs: (k, d, f, fs, g, 2 * gs)),
     ],
 )
 def test_verify_checks_each_sample(capsys, monkeypatch, invariant, perturb):
@@ -1194,7 +1210,14 @@ def test_verify_checks_each_sample(capsys, monkeypatch, invariant, perturb):
     code, out = run_cli(capsys, "verify", "--x-range", "0:1:1/4")
     assert code == 1
     failed = [row for row in parse_csv(out) if row[3] == "fail"]
-    assert failed == [[f"{invariant}_second", "0.5", "exact", "fail"]]
+    # Each exact row's perturbation breaks the identity the log row checks too;
+    # the residual, computed from x alone, stays within the gate.
+    log_row = failed.pop()
+    assert log_row[:2] == ["log_vs_generator_second", "0.5"] and float(log_row[2]) <= 1e-12
+    if invariant != "log_vs_generator":
+        assert failed == [[f"{invariant}_second", "0.5", "exact", "fail"]]
+    else:
+        assert failed == []
 
 
 # Generated command lines: every subcommand, x from 1e-400 to 1e400, near
@@ -1270,6 +1293,12 @@ def _is_finite_number(cell):
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(argv=_commands(), out=st.sampled_from([None, "rows.csv", "missing/rows.csv"]))
+# verify at tiny and near-radius x: at 1e-200, a float times a 200-digit integer would overflow.
+@example(argv=["verify", "--x", "1e-200"], out=None)
+@example(argv=["verify", "--x", "1e-400"], out=None)
+@example(argv=["verify", "--x-range", "0:1e-8:1e-9"], out=None)
+@example(argv=["verify", "--x-range", "-3:3:1/7"], out=None)
+@example(argv=["verify", "--x", "1.99999999999999999999"], out=None)
 def test_generated_command_lines_keep_the_exit_contract(monkeypatch, argv, out):
     monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 10**4)
     with contextlib.ExitStack() as stack:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -243,14 +244,16 @@ def test_generator_scale_term_cap(monkeypatch):
 
 
 def integer_counter_scale(x):
-    """The scale series with an int counter n, the float one's reference."""
+    """The scale series with an int counter n, the float one's reference.
+    Each term ratio is below x^2/4, so stopping at a term below
+    1e-14 (1 - x^2/4) of the total bounds the whole tail by 1e-14 of it."""
     x_sq = x * x
     term = 1.0
     total = 0.0
     for n in range(1, oscillator.MAX_SCALE_TERMS + 1):
         total += term
         term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
-        if term < 1e-14 * total:
+        if term < 1e-14 * (1 - x_sq / 4) * total:
             return total + term
     raise AssertionError(f"no stop within the term cap at x = {x}")
 
@@ -261,6 +264,25 @@ def test_generator_scale_matches_integer_counter_bit_for_bit():
     xs += [10.0**-k for k in range(1, 301)] + [1.9999, -1.9999]
     for x in xs:
         assert generator_scale(x) == integer_counter_scale(x), x
+
+
+def test_generator_scale_tail_is_below_its_bound():
+    # The terms after the stop sum to under 1e-14 of the result.  A stop at
+    # a term below 1e-14 of the total alone left 1e-11 of it at x = 1.999.
+    for x in (0.5, 1.0, 1.9, 1.99, 1.999, -1.9999):
+        x_sq, term, total = x * x, 1.0, 0.0
+        for n in itertools.count(1):
+            total += term
+            term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
+            if term < 1e-14 * (1 - x_sq / 4) * total:
+                break
+        scale, tail = total + term, 0.0
+        assert scale == generator_scale(x)
+        while term >= 1e-30 * scale:  # what the series left out
+            n += 1
+            term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
+            tail += term
+        assert tail < 1e-14 * scale, x
 
 
 def test_closed_form_matches_partial_sums():
@@ -608,6 +630,9 @@ def test_scaled_matrices_equal_fraction_reference(scheme, n, b):
     for scaled, scale, reference in pairs:
         assert all(type(v) is int for v in (*scaled.entries(), scale)) and scale > 0
         assert Mat2(*(Fraction(v, scale) for v in scaled.entries())) == reference
+    # (K - (T/2) I)/D = x G/g, which verify's log row checks as g b (2K - T I) = 2 D n G.
+    traceless = 2 * mat - mat.trace() * Mat2.identity()
+    assert direction_scale * b * traceless == 2 * mat_scale * n * direction
 
 
 @settings(max_examples=60, deadline=None)
