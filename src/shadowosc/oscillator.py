@@ -259,45 +259,52 @@ def _inside_radius(x: Scalar) -> float:
     return x
 
 
-# generator_scale sums at most this many terms; x = 1.99999 needs about
-# 3.0e6 and x = 2 - 2^-52 over 10^15.
-MAX_SCALE_TERMS = 10**7
+_SCALE_NODES: dict[int, tuple[float, ...]] = {}  # node j's first 56 c_k as floats, highest first
+_NODE_VALUES = {0: 1 << 128}  # its c_0 in 128-bit fixed point, set first: racing threads agree
 
 
-def generator_scale(x: Scalar) -> float:
-    """Sum the even series sum_n (n!)^2/(2n+1)! x^(2n) by partial sums.
+def generator_scale(x: Scalar, b: int = 1) -> float:
+    """The series sum_n (n!)^2/(2n+1)! y^(2n) at the exact y = x/b (a float
+    is the rational it holds), within 2^-50 relative.
 
-    Each term is the last times x^2 n^2 / ((2n)(2n+1)), a ratio below
-    x^2/4, so the terms after one below 1e-14 (1 - x^2/4) of the running
-    total sum to less than 1e-14 of it: that term is the last added.  The
-    counter n and the denominator, carried by its differences 8n + 6, run
-    as floats: for n <= MAX_SCALE_TERMS = 10^7 both are integers below
-    2^53 (about 9.0e15), so both are exact as floats and every term has
-    the bits of the integer-counter recurrence.  For |x| >= 2 the series
-    diverges and this raises SeriesDivergesError rather than summing: past
-    that step size there is no continuous motion for the discrete map to
-    shadow.  NaN raises ValueError before any term is summed.  A series
-    that needs more than MAX_SCALE_TERMS terms (|x| just below 2) raises
-    ValueError.
+    f(z), z = y^2/4, has (2n + 1) a_n = 2n a_(n-1), the ODE 2z(1 - z) f' +
+    (1 - 2z) f = 1, continued along z_j = 1 - 2^-j (van der Hoeven, TCS 210,
+    1999): at node j, s = 2^-j, f = sum c_k rho^k, rho = (z - z_j)/s, with
+    2(1 - s)(k + 1) c_(k+1) = [k = 0] + (1 - 2s)(2k + 1) c_k + 2ks c_(k-1).  The
+    a_n do not increase, so neither do the c_k >= 0: 56 terms at rho < 1/2
+    leave under 2^-55 of f; rho, the c_k and Horner's rule round to under 6
+    units of 2^-53.  |y| >= 2 (+-inf too, decided by |n| < 2b) raises
+    SeriesDivergesError; NaN, or a scale past the float range, ValueError.
     """
-    x = _inside_radius(x)
-    x_sq = x * x
-    tol = 1e-14 * (1.0 - x_sq / 4.0)
-    term = 1.0
-    total = 0.0
-    n = 0.0
-    den, rise = 6.0, 14.0  # (2n)(2n+1) at n = 1, and its next difference
-    for _ in range(MAX_SCALE_TERMS):
-        total += term
-        n += 1.0
-        term *= x_sq * n * n / den
-        if term < tol * total:
-            return total + term
-        den += rise
-        rise += 8.0
-    raise ValueError(
-        f"generator scale series needs more than {MAX_SCALE_TERMS} terms at x = {x}"
-    )
+    try:
+        n, d = x.as_integer_ratio()  # NaN raises ValueError
+    except OverflowError:  # +-inf is past the radius, as 2 is
+        n, d = 2, 1
+    four_b_sq = 4 * (b * d) ** 2
+    w = four_b_sq - n * n  # 4b^2 (1 - z)
+    if w <= 0:
+        raise SeriesDivergesError(f"generator scale series diverges at x = {x}{f'/{b}' * (b != 1)}")
+    j = four_b_sq.bit_length() - w.bit_length()
+    j -= w << j > four_b_sq  # 2^-(j+1) < 1 - z <= 2^-j
+    if j <= 2046:  # node 2047's c_0, (pi/2) 2^1023.5, is past the float range
+        for i in range(len(_SCALE_NODES), j + 1):  # node i: 136 terms, to 2^-135 at rho = 1/2
+            c = [_NODE_VALUES[i]]
+            for k in range(135):
+                if i:
+                    t = (2 * k + 1) * c[k]
+                    t += (k * c[k - 1] >> i - 1 if k else 1 << 128) - (t >> i - 1)
+                    y = t // (2 * k + 2)  # (1 - s) c_(k+1); 1/(1 - s) = 1 + 1/(2^i - 1)
+                    c.append(y + y // ((1 << i) - 1))
+                else:  # the series: (2k + 3) a_(k+1) = (2k + 2) a_k
+                    c.append(c[k] * (2 * k + 2) // (2 * k + 3))
+            _NODE_VALUES[i + 1] = sum(v >> k for k, v in enumerate(c))  # rho = 1/2
+            _SCALE_NODES[i] = tuple(v / (1 << 128) for v in reversed(c[:56]))
+        rho, total = (four_b_sq - (w << j)) / four_b_sq, 0.0
+        for c in _SCALE_NODES[j]:
+            total = total * rho + c
+        if total != math.inf:
+            return total
+    raise ValueError(f"the generator scale at x = {Fraction(n, b * d)} is too large for a float")
 
 
 def generator_scale_closed_form(x: Scalar) -> float:
@@ -458,14 +465,22 @@ def stability_classify(x: Scalar) -> StabilityClass:
     return classify_trace(_map_trace(x))
 
 
-def spectral_radius(x: Scalar) -> float:
-    """Largest eigenvalue magnitude of the one-step map, ((r + sqrt((r - 2)(r + 2)))/2)^2
-    at r = |x| > 2: r - 2 is exact up to 4 (Sterbenz).  NaN raises ValueError."""
-    if abs(float(_map_trace(x))) <= 2.0:
-        return 1.0
-    r = abs(float(x))
-    root = (r + math.sqrt((r - 2.0) * (r + 2.0))) / 2.0
-    return root * root
+def spectral_radius(x: Scalar, b: int = 1) -> float:
+    """Largest eigenvalue magnitude of the one-step map at the exact x/b = n/d
+    (a float is the rational it holds): 1 for |n| <= 2d, else
+    ((|n| + sqrt(n^2 - 4d^2))/(2d))^2 = (n^2 - 2d^2 + |n| sqrt(n^2 - 4d^2))/(2d^2),
+    the root taken by math.isqrt to 70 bits or more and the whole rounded
+    once.  NaN raises ValueError; +-inf, or a radius past the float range, is inf."""
+    try:
+        n, d = x.as_integer_ratio()  # NaN raises ValueError
+        n, d_sq = abs(n), (b * d) ** 2
+        if n * n <= 4 * d_sq:
+            return 1.0
+        shift = max(0, 70 - (n * n - 4 * d_sq).bit_length() // 2)
+        root = math.isqrt((n * n - 4 * d_sq) << 2 * shift)
+        return (((n * n - 2 * d_sq) << shift) + n * root) / (2 * d_sq << shift)
+    except OverflowError:  # +-inf, or past the float range
+        return math.inf
 
 
 def rotation_angle(x: Scalar) -> float:

@@ -124,6 +124,18 @@ def test_verify_log_rows_pass_near_the_radius(capsys, x):
     assert len(logs) == 2 and all(float(row[2]) <= 1e-12 and row[3] == "pass" for row in logs)
 
 
+def test_verify_refuses_where_the_float_residual_cannot_resolve_the_gate(capsys):
+    # The residual's float side errs by up to 4 ulp of |x| scale: within the
+    # 1e-12 gate while |x| scale < 2048, that is up to x = 1.99999765.
+    code, out = run_cli(capsys, "verify", "--x-range", "1.99999:1.9999976:1/10000000")
+    assert code == 0 and ",fail\n" not in out
+    for x in ("1.9999976", "1.9999977", "-1.9999977"):
+        scale = generator_scale(Fraction(x))
+        assert (abs(float(x)) * scale < 2048) == (x == "1.9999976")
+    code, out = run_cli(capsys, "verify", "--x", "1.9999977")
+    assert (code, out) == (2, "")
+
+
 def test_verify_x_that_rounds_to_zero_prints_the_rows_of_zero(capsys):
     # 0 < 1e-400 < 2, but its float is 0.0, whose map is I: no log row.
     zero = run_cli(capsys, "verify", "--x", "0")
@@ -707,13 +719,12 @@ FLOAT_OVERFLOWS = (
 )
 
 
-def test_exit_two_leaves_no_csv(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 10**4)
+def test_exit_two_leaves_no_csv(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     for argv in (
-        ["verify", "--x", "1.99999999999999999"],  # rounds to 2.0 in floats
-        ["verify", "--x", "1.9999999999999998"],  # past the term cap
-        ["sweep", "--x", "1.9999999999999998"],  # not DIVERGENT: x < 2
+        ["verify", "--x", "1.99999999999999999"],  # rounds to 2.0 in floats: refused
+        ["verify", "--x", "1.9999999999999998"],  # refused: |x| scale is 4.2e8
+        ["sweep", "--x", str(2 - Fraction(1, 10**700))],  # the scale is past the float range
         ["coeffs", "--letters", "3", "--max-degree", "11"],  # over the budget
         *FLOAT_OVERFLOWS,
     ):
@@ -725,18 +736,28 @@ def test_exit_two_leaves_no_csv(tmp_path, capsys, monkeypatch):
             assert not target.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("command", ["verify"])
 @pytest.mark.parametrize("x", ["1.99999999999999999999", "-1.99999999999999999999"])
 def test_x_inside_the_radius_whose_float_is_two_exits_two(capsys, command, x):
-    # |x| < 2, so the series converges, but the float x is +-2.0: no float
-    # sum reaches it within the term cap, and it is not DIVERGENT.
+    # |x| < 2, so the scale exists (1.6e10), but the float residual of the
+    # log row, 4 ulp of |x| scale = 1.5e-5, cannot resolve the 1e-12 gate.
     assert cli.main([command, "--x", x]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "shadowosc: error: generator scale series needs more than 10000000 terms"
-        f" at x = {Fraction(x)}\n"
+        f"shadowosc: error: log_vs_generator cannot resolve 1e-12 at x = {Fraction(x)}:"
+        " its float residual errs by up to 4 ulp of |x| scale = 31415926533.89793\n"
     )
+
+
+@pytest.mark.parametrize("x", ["1.99999999999999999999", "-1.99999999999999999999"])
+def test_sweep_answers_inside_the_radius_where_the_float_x_is_two(capsys, x):
+    # sweep has no gate: it prints the scale at the exact x, not DIVERGENT.
+    code, out = run_cli(capsys, "sweep", "--x", x)
+    assert code == 0
+    (row,) = parse_csv(out)[1:]
+    assert row[:3] == [repr(float(x)), "-2.0", "elliptic"]
+    assert row[5] == repr(generator_scale(Fraction(x))) == "15707963266.948965"
 
 
 def test_unwritable_out_exits_two_naming_the_path(tmp_path, capsys):
@@ -754,6 +775,7 @@ def test_failed_check_exits_one_keeping_the_whole_csv(tmp_path, capsys, monkeypa
     # The check fails after the last row: every row is written, to stdout
     # and to --out alike, and stderr holds one line.
     monkeypatch.setattr(goldberg, "goldberg_coeff_two", lambda w: Fraction(7, 13))
+    monkeypatch.setattr(cli, "generator_scale", lambda n, b: 1.0)  # both log rows fail
     target = tmp_path / "rows.csv"
     for argv, message, lines in (
         (["verify", "--x", "1.999"], "2 of 9 verify rows failed", 10),
@@ -787,23 +809,25 @@ def test_grid_memory_does_not_grow_with_samples(tmp_path):
         assert target.read_bytes().count(b"\n") == lines
 
 
-def test_term_cap_partway_keeps_the_rows_before_it(tmp_path, capsys, monkeypatch):
-    # Both ends of 1.9:2.1 are cheap (2.1 sums no series), but with the cap
-    # at 10^4 terms the series fails partway, near x = 1.997.
-    monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 10**4)
+def test_refusal_partway_keeps_the_rows_before_it(tmp_path, capsys):
+    # Both ends answer (the last is past the radius), but an x between them
+    # is refused: verify's from x = 1.999998, where |x| scale passes 2048,
+    # and sweep's at 2 - 10^-700, whose scale is past the float range.
+    near = 2 - Fraction(1, 10**600)
+    step = 2 - near - Fraction(1, 10**700)
     target = tmp_path / "rows.csv"
-    for command, header, per_sample in (("sweep", "x,", 1), ("verify", "invariant,", 8)):
-        argv = [command, "--x-range", "1.9:2.1:1/1000"]
+    for command, grid, error, per_sample, answered in (
+        ("verify", "1.99999:2.00001:1/1000000", "log_vs_generator cannot resolve", 8, 8),
+        ("sweep", f"{near}:{near + 2 * step}:{step}", "the generator scale at", 1, 1),
+    ):
+        argv = [command, "--x-range", grid]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(
-            "shadowosc: error: generator scale series needs more than 10000 terms at x = 1.99"
-        )
+        assert captured.err.startswith(f"shadowosc: error: {error}")
         assert captured.err.count("\n") == 1
         lines = captured.out.splitlines(keepends=True)
-        assert lines[0].startswith(header) and all(line.endswith("\n") for line in lines)
-        samples = (len(lines) - 1 - (command == "verify")) // per_sample
-        assert 90 <= samples <= 99  # 1.9 up to the last x below the cap's reach
+        assert all(line.endswith("\n") for line in lines)
+        assert (len(lines) - 1 - (command == "verify")) // per_sample == answered
         assert cli.main(["--out", str(target), *argv]) == 2
         assert capsys.readouterr().out == ""
         assert not target.exists()
@@ -813,9 +837,9 @@ def test_no_x_reaches_the_scale_series_twice(capsys, monkeypatch):
     # Each grid's ends are computed before its header and reused in place.
     calls = []
 
-    def counted(x):
-        calls.append(x)
-        return generator_scale(x)
+    def counted(n, b):
+        calls.append(Fraction(n, b))
+        return generator_scale(n, b)
 
     monkeypatch.setattr(cli, "generator_scale", counted)
     for command in ("verify", "sweep"):
@@ -824,12 +848,12 @@ def test_no_x_reaches_the_scale_series_twice(capsys, monkeypatch):
             run_cli(capsys, command, grid)
             assert calls and len(calls) == len(set(calls)), (command, grid, calls)
             # Each sample once, except that verify makes no call at x = 0.
-            xs = [float(x) for x in grid_xs(grid) if x or command == "sweep"]
+            xs = [x for x in grid_xs(grid) if x or command == "sweep"]
             assert sorted(calls) == sorted(xs), (command, grid, calls)
 
 
 def test_verify_fails_a_divergence_the_series_does_not_signal(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "generator_scale", lambda x: 1.0)
+    monkeypatch.setattr(cli, "generator_scale", lambda n, b: 1.0)
     code, out = run_cli(capsys, "verify", "--x", "3")
     assert code == 1
     assert out.endswith("\ndivergence_signaled,3.0,exact,fail\n")
@@ -852,12 +876,14 @@ def test_failed_write_exits_two_naming_the_target():
     # /dev/full fails every write with ENOSPC.  Exit 1 would claim a failed
     # check, and Python's own retry of the buffered rows at exit must not
     # add a second message.
-    # verify --x 1.999 fails a check after its last row: the write still outranks it.
+    # With a scale of 1.0, verify --x 1.999 fails a check after its last row:
+    # the write still outranks it.
+    broken = "import shadowosc.cli as cli; cli.generator_scale = lambda n, b: 1.0"
     argvs = (["sweep", "--x", "1"], ["simulate", "--steps", "100000"], ["verify", "--x", "1.999"])
     for argv in argvs:
         for out, target in ((["--out", "/dev/full"], "--out /dev/full"), ([], "stdout")):
             with open("/dev/full", "w") as full:
-                proc = console_script([*out, *argv], stdout=full)
+                proc = console_script([*out, *argv], broken, stdout=full)
                 _, err = proc.communicate(timeout=60)
             assert proc.returncode == 2, (argv, target)
             assert err.decode() == (
@@ -1100,7 +1126,8 @@ def grid_xs(grid):
 def reference_grid_rows(command, scheme, xs):
     """verify (both schemes) or sweep (one scheme) rows and exit code,
     with every exact column computed on Fractions from map_matrix,
-    shadow_form, generator_direction and stability_classify.  A log row
+    shadow_form, generator_direction and stability_classify, and the
+    scale and radius from the library at the exact x.  A log row
     holds if map - (trace/2) I = x direction exactly, and its residual is
     |x| |theta/sin theta - scale| max|direction|, with cos theta = 1 - x^2/2
     and sin theta = |x| sqrt(1 - x^2/4) each rounded once from the exact x:
@@ -1113,14 +1140,14 @@ def reference_grid_rows(command, scheme, xs):
         for x in xs:
             trace = map_matrix(scheme, x).trace()
             try:
-                scale_text = repr(generator_scale(float(x)))
+                scale_text = repr(generator_scale(x))
             except SeriesDivergesError:
                 scale_text = "DIVERGENT"
             rows.append([
                 repr(float(x)),
                 repr(float(trace)),
                 stability_classify(x).value,
-                repr(spectral_radius(float(x))),
+                repr(spectral_radius(x)),
                 repr(float(shadow_form(scheme, x).det())),
                 scale_text,
                 repr(rotation_angle(float(x))) if abs(trace) <= 2 else "",
@@ -1142,7 +1169,7 @@ def reference_grid_rows(command, scheme, xs):
             for name, ok in checks.items():
                 rows.append([f"{name}_{label}", x_text, "exact", "pass" if ok else "fail"])
         if 0 < abs(x) < 2:
-            scale, size = generator_scale(float(x)), abs(float(x))
+            scale, size = generator_scale(x), abs(float(x))
             sin = size * math.sqrt(float(1 - x * x / 4))
             gap = size * abs(math.atan2(sin, float(1 - x * x / 2)) / sin - scale)
             for label, scheme in schemes.items():
@@ -1167,8 +1194,8 @@ def reference_grid_rows(command, scheme, xs):
         "--x=1e-200",
         "--x=2",
         "--x=-3/2",
-        "--x=1.9999",  # a known log_vs_generator fail (the series at the float x): exit 1
-        "--x-range=1/8000:3:1/1000",  # perfbench's float_scan grid: 6 fail rows, exit 1
+        "--x=1.9999",  # failed while the series was summed at the float x
+        "--x-range=1/8000:3:1/1000",  # perfbench's float_scan grid: 6 rows failed the same way
     ],
 )
 def test_grid_rows_match_fraction_reference(capsys, grid):
@@ -1218,6 +1245,14 @@ def test_verify_checks_each_sample(capsys, monkeypatch, invariant, perturb):
         assert failed == [[f"{invariant}_second", "0.5", "exact", "fail"]]
     else:
         assert failed == []
+
+
+def radius_reference(x):
+    """((r + sqrt(r^2 - 4))/2)^2 at the exact r = |x| > 2, the root taken
+    by math.isqrt to 2^-300."""
+    r, scale = abs(x), 2**300
+    root = Fraction(math.isqrt(int((r * r - 4) * scale * scale)), scale)
+    return ((r + root) / 2) ** 2
 
 
 # Generated command lines: every subcommand, x from 1e-400 to 1e400, near
@@ -1299,8 +1334,7 @@ def _is_finite_number(cell):
 @example(argv=["verify", "--x-range", "0:1e-8:1e-9"], out=None)
 @example(argv=["verify", "--x-range", "-3:3:1/7"], out=None)
 @example(argv=["verify", "--x", "1.99999999999999999999"], out=None)
-def test_generated_command_lines_keep_the_exit_contract(monkeypatch, argv, out):
-    monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 10**4)
+def test_generated_command_lines_keep_the_exit_contract(argv, out):
     with contextlib.ExitStack() as stack:
         target = None if out is None else Path(stack.enter_context(TemporaryDirectory())) / out
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -1324,9 +1358,14 @@ def test_generated_command_lines_keep_the_exit_contract(monkeypatch, argv, out):
     if code == 1:
         assert any(row[-1] in ("fail", "false") for row in rows)
     words = _WORD_CELLS.get(argv[0], {})
-    for row in rows:
+    xs = grid_xs("=".join(argv[1:3])) if argv[0] == "sweep" else []
+    for x, row in zip(xs or itertools.repeat(None), rows):  # an exit 2 cuts a grid short
         if argv[0] == "sweep" and row[5] == "DIVERGENT":
             assert row[2] in ("hyperbolic", "parabolic"), (argv, row)
+        if argv[0] == "sweep" and row[2] == "hyperbolic":  # the radius at the exact x
+            reference = radius_reference(x)
+            error = abs(Fraction(float(row[3])) - reference)
+            assert error <= Fraction(math.ulp(float(reference))), (argv, row)
         for column, cell in enumerate(row):
             allowed = words.get(column, set())
             assert allowed is None or cell in allowed or _is_finite_number(cell), (argv, row)

@@ -1,7 +1,12 @@
+import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -235,54 +240,120 @@ def test_generator_scale_closed_form_rejects_nan():
             generator_scale_closed_form(x)
 
 
-def test_generator_scale_term_cap(monkeypatch):
-    monkeypatch.setattr(oscillator, "MAX_SCALE_TERMS", 100)
-    assert generator_scale(1.0) == pytest.approx(2 * math.pi / (3 * math.sqrt(3)))
-    with pytest.raises(ValueError, match="more than 100 terms at x = 1.99") as info:
-        generator_scale(1.99)
-    assert not isinstance(info.value, SeriesDivergesError)
+# The routine's stated accuracy: within 2^-50 of the scale, relative.
+SCALE_BOUND = 2.0**-50
 
 
-def integer_counter_scale(x):
-    """The scale series with an int counter n, the float one's reference.
-    Each term ratio is below x^2/4, so stopping at a term below
-    1e-14 (1 - x^2/4) of the total bounds the whole tail by 1e-14 of it."""
-    x_sq = x * x
-    term = 1.0
-    total = 0.0
-    for n in range(1, oscillator.MAX_SCALE_TERMS + 1):
-        total += term
-        term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
-        if term < 1e-14 * (1 - x_sq / 4) * total:
-            return total + term
-    raise AssertionError(f"no stop within the term cap at x = {x}")
+def series_coefficient(n):
+    """a_n of the scale f(z) = sum a_n z^n, z = x^2/4, from the series
+    sum (n!)^2/(2n+1)! x^(2n) itself."""
+    return Fraction(4**n * math.factorial(n) ** 2, math.factorial(2 * n + 1))
 
 
-def test_generator_scale_matches_integer_counter_bit_for_bit():
-    rng = random.Random(20260)
-    xs = [rng.uniform(-1.99, 1.99) for _ in range(500)]
-    xs += [10.0**-k for k in range(1, 301)] + [1.9999, -1.9999]
-    for x in xs:
-        assert generator_scale(x) == integer_counter_scale(x), x
+def test_series_coefficients_satisfy_the_continued_ode():
+    # The coefficient of z^n in 2z(1 - z) f' + (1 - 2z) f is
+    # (2n + 1) a_n - 2n a_(n-1); the ODE asks for 1 at n = 0, else 0.
+    a = [series_coefficient(n) for n in range(51)]
+    for n in range(51):
+        lhs = (2 * n + 1) * a[n] - (2 * n * a[n - 1] if n else 0)
+        assert lhs == (n == 0), n
+
+
+def node_coefficients(j, c0, count=136):
+    """c_0 .. c_(count-1) of f at z = 1 - 2^-j in rho = (z - z_j)/2^-j, in
+    Fractions: node 0 is the series, and every other node follows
+    2(1 - s)(k + 1) c_(k+1) = [k = 0] + (1 - 2s)(2k + 1) c_k + 2ks c_(k-1)."""
+    if j == 0:
+        return [series_coefficient(k) for k in range(count)]
+    s = Fraction(1, 2**j)
+    c = [c0]
+    for k in range(count - 1):
+        rhs = (k == 0) + (1 - 2 * s) * (2 * k + 1) * c[k] + (2 * k * s * c[k - 1] if k else 0)
+        c.append(rhs / (2 * (1 - s) * (k + 1)))
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def continuation_nodes():
+    """Nodes 0 to 70 of the same truncated continuation as the routine's:
+    node j's c_0 is node j - 1's 136 terms at rho = 1/2, here rounded down
+    to 2^-400 so that the denominators stay small."""
+    nodes = [node_coefficients(0, 1)]
+    while len(nodes) <= 70:
+        value = sum((c.numerator << (400 - k)) // c.denominator for k, c in enumerate(nodes[-1]))
+        nodes.append(node_coefficients(len(nodes), Fraction(value, 2**400)))
+    return nodes
+
+
+def continuation_reference(x):
+    """The scale at the exact x: 56 terms at the node below z = x^2/4."""
+    z = Fraction(x) ** 2 / 4
+    j = next(j for j in itertools.count() if 1 - z > Fraction(1, 2 ** (j + 1)))
+    rho = (z - 1 + Fraction(1, 2**j)) * 2**j
+    assert 0 <= rho < Fraction(1, 2)
+    return sum(c * rho**k for k, c in enumerate(continuation_nodes()[j][:56]))
 
 
 def test_generator_scale_tail_is_below_its_bound():
-    # The terms after the stop sum to under 1e-14 of the result.  A stop at
-    # a term below 1e-14 of the total alone left 1e-11 of it at x = 1.999.
-    for x in (0.5, 1.0, 1.9, 1.99, 1.999, -1.9999):
-        x_sq, term, total = x * x, 1.0, 0.0
-        for n in itertools.count(1):
-            total += term
-            term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
-            if term < 1e-14 * (1 - x_sq / 4) * total:
-                break
-        scale, tail = total + term, 0.0
-        assert scale == generator_scale(x)
-        while term >= 1e-30 * scale:  # what the series left out
-            n += 1
-            term *= x_sq * n * n / ((2 * n) * (2 * n + 1))
-            tail += term
-        assert tail < 1e-14 * scale, x
+    # Every node's coefficients are positive and do not increase, so after 56
+    # terms at rho < 1/2 the rest is below 2 rho^56 c_0 <= 2^-55 f.
+    for j, c in enumerate(continuation_nodes()):
+        assert c[0] >= 1 and c[-1] > 0, j
+        assert all(a >= b for a, b in zip(c, c[1:])), j
+        tail = sum(c[k] / 2**k for k in range(56, len(c)))
+        assert tail < c[0] / 2**55, j
+
+
+def test_generator_scale_within_its_bound_of_the_exact_continuation():
+    # 7/5 and 1.99975 step rho = 0.49 from nodes 0 and 11, where the tail is largest.
+    xs = [Fraction(1, 3), Fraction("1.99351"), Fraction("1.9999"), 2 - Fraction(1, 10**20),
+          Fraction(-3, 2), Fraction(1, 10**30), Fraction(7, 5), Fraction("1.99975"),
+          1.0, 1.9999, -1.99351]
+    for x in xs:
+        reference = continuation_reference(x)
+        assert abs(Fraction(generator_scale(x)) - reference) <= SCALE_BOUND * reference, x
+
+
+def test_generator_scale_within_its_bound_of_the_closed_form():
+    # For |x| <= 1 the closed form's own roundings stay below 2^-50 of it
+    # (1 - x^2/4 >= 3/4 cancels little), so the two agree to 2^-49.
+    rng = random.Random(20260)
+    xs = [rng.uniform(-1.0, 1.0) for _ in range(500)] + [10.0**-k for k in range(1, 301)]
+    for x in xs:
+        closed = generator_scale_closed_form(x)
+        assert abs(generator_scale(x) - closed) <= 2 * SCALE_BOUND * closed, x
+
+
+def test_generator_scale_takes_the_exact_rational():
+    # The float 1.9999 and the decimal 1.9999 are different steps.
+    assert generator_scale(19999, 10000) == generator_scale(Fraction("1.9999"))
+    assert generator_scale(1.9999) == generator_scale(Fraction(1.9999))
+    assert generator_scale(Fraction("1.9999")) != generator_scale(1.9999)
+    assert generator_scale(3, 2) == generator_scale(1.5) == generator_scale(-1.5)
+    # Inside the radius although its float is 2.0: pi/(2 sqrt(w)) at w = 1e-20.
+    near = generator_scale(2 - Fraction(1, 10**20))
+    assert near == pytest.approx(math.pi / 2 * 1e10, rel=1e-9)
+
+
+def test_generator_scale_beyond_the_float_range_raises_naming_x():
+    built = len(oscillator._SCALE_NODES)
+    x = 2 - Fraction(1, 10**700)  # 1 - x^2/4 near 2^-2326: past the last node
+    with pytest.raises(ValueError, match=f"at x = {x} is too large for a float") as info:
+        generator_scale(x)
+    assert not isinstance(info.value, SeriesDivergesError)
+    assert len(oscillator._SCALE_NODES) == built  # refused before any node is built
+    # 10^-616 is still a float: pi/(2 sqrt(w)) is 1.57e308.
+    assert generator_scale(2 - Fraction(1, 10**616)) == pytest.approx(math.pi / 2 * 1e308)
+    with pytest.raises(ValueError, match="too large for a float"):
+        generator_scale(2 - Fraction(7, 10**617))  # node 2046, but its sum is 1.88e308
+
+
+def test_importing_the_cli_builds_no_node_table():
+    src = str(Path(oscillator.__file__).resolve().parents[1])
+    code = "import shadowosc.cli; from shadowosc import oscillator; print(len(oscillator._SCALE_NODES))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, "0\n")
 
 
 def test_closed_form_matches_partial_sums():
@@ -500,24 +571,38 @@ def test_spectral_radius_values():
     assert spectral_radius(2.5) == pytest.approx(4.0, rel=1e-15)
 
 
-def radius_reference(x: float) -> Fraction:
-    """The spectral radius ((r + sqrt(r^2 - 4))/2)^2 at r = |x| > 2, with
-    the root taken by math.isqrt to 2^-300 absolute (2 + 2^-52 rounds to 2)."""
-    r, scale = Fraction(abs(x)), 2**300
+def radius_reference(x) -> Fraction:
+    """The spectral radius ((r + sqrt(r^2 - 4))/2)^2 at the exact r = |x| > 2,
+    with the root taken by math.isqrt to 2^-300 absolute."""
+    r, scale = abs(Fraction(x)), 2**300
     root = Fraction(math.isqrt(int((r * r - 4) * scale * scale)), scale)
     return ((r + root) / 2) ** 2
 
 
-@pytest.mark.parametrize(
-    "x",
-    [2 + 2.0**-k for k in range(1, 53)] + [-2.5, 3.0, 1e3, 1e50, 1e110, 1e150, 1.2e154],
-)
+FLOAT_HYPERBOLIC = [2 + 2.0**-k for k in range(1, 53)] + [-2.5, 3.0, 1e3, 1e50, 1e110, 1e150, 1.2e154]
+
+
+@pytest.mark.parametrize("x", FLOAT_HYPERBOLIC)
 def test_spectral_radius_within_two_ulp_of_an_exact_reference(x):
-    # |x| - 2 is exact near 2, so no digits cancel where 1 - x^2 lost up
-    # to 8.9e-13 relative; the square doubles the root's relative error.
+    # Taken at the exact x, no digits cancel near 2.
     reference = radius_reference(x)
     error = abs(Fraction(spectral_radius(x)) - reference)
     assert error <= 2 * Fraction(math.ulp(float(reference))), x
+
+
+def test_spectral_radius_within_one_ulp_at_the_exact_x():
+    # One int true division of an isqrt root with 70 bits or more.  The exact
+    # x need not be a float: 2 + 10^-20 has radius 1 + 2e-10, and its float 2.0
+    # radius 1; at 1.34078079299425965e154 the float x's square overflows.
+    exact = [2 + Fraction(1, 10**20), 2 + Fraction(1, 2**52),
+             Fraction("1.34078079299425965e154"), -Fraction(5, 2)]
+    for x in FLOAT_HYPERBOLIC + exact:
+        reference = radius_reference(x)
+        error = abs(Fraction(spectral_radius(x)) - reference)
+        assert error <= Fraction(math.ulp(float(reference))), x
+    assert spectral_radius(2 - Fraction(1, 10**20)) == spectral_radius(2 - Fraction(1, 2**52)) == 1.0
+    assert spectral_radius(5, 2) == spectral_radius(-2.5) == 4.0
+    assert spectral_radius(math.inf) == spectral_radius(10**400) == math.inf
 
 
 def test_spectral_radius_second_scheme_where_x_cubed_overflows():
