@@ -435,16 +435,6 @@ def shadow_energy(s: PhaseState, scheme: SchemeId, x: Scalar):
 # ---------------------------------------------------------------------------
 
 
-def _map_trace(x: Scalar):
-    """Trace 2 - x^2 of both schemes' maps (conjugate by a half kick),
-    summed as the first scheme's diagonal 1 + (1 - x^2), whose float bits
-    2 - x^2 does not keep; a NaN trace (x = nan) raises ValueError."""
-    trace = 1 + (1 - x * x)
-    if trace != trace:  # only NaN differs from itself; no float conversion
-        raise ValueError(f"the one-step map is undefined at x = {x}")
-    return trace
-
-
 def classify_trace(trace: Scalar, scale: int = 1) -> StabilityClass:
     """Classify a unit-determinant map of trace trace/scale (scale > 0)
     by |trace| against 2 scale.  Exact for int and Fraction input."""
@@ -459,10 +449,15 @@ def classify_trace(trace: Scalar, scale: int = 1) -> StabilityClass:
 def stability_classify(x: Scalar) -> StabilityClass:
     """Classify the one-step map by |trace| against 2.
 
-    Both schemes share trace 2 - x^2.  Exact comparisons, so rational
-    input at the boundary classifies exactly.  NaN raises ValueError.
+    Both schemes share trace 2 - x^2 (conjugate by a half kick), summed as
+    the first scheme's diagonal 1 + (1 - x^2), whose float bits 2 - x^2
+    does not keep.  Exact comparisons, so rational input at the boundary
+    classifies exactly.  NaN raises ValueError.
     """
-    return classify_trace(_map_trace(x))
+    trace = 1 + (1 - x * x)
+    if trace != trace:  # only NaN differs from itself; no float conversion
+        raise ValueError(f"the one-step map is undefined at x = {x}")
+    return classify_trace(trace)
 
 
 def spectral_radius(x: Scalar, b: int = 1) -> float:
@@ -483,14 +478,29 @@ def spectral_radius(x: Scalar, b: int = 1) -> float:
         return math.inf
 
 
-def rotation_angle(x: Scalar) -> float:
-    """The per-step phase advance in the elliptic regime, arccos(trace/2)
-    taken as 2 arcsin(|x|/2) (trace = 2 - x^2), which keeps the digits of
-    small angles.  NaN raises ValueError."""
-    trace = float(_map_trace(x))
-    if abs(trace) > 2.0:
-        raise NoEllipticLogError(f"|trace| = {abs(trace)} > 2: no rotation angle")
-    return 2.0 * math.asin(abs(float(x)) / 2.0)
+def rotation_angle(x: Scalar, b: int = 1) -> float:
+    """The per-step phase advance in the elliptic regime at the exact x/b =
+    n/d in lowest terms (a float is the rational it holds): arccos(trace/2) =
+    2 atan2(|n|, sqrt(4d^2 - n^2)), which keeps the digits of small angles.
+    Both arguments are divided as integers by one power of two, 2^k with
+    2d < 2^(k+501), so neither overflows: |n| rounds once, and the root
+    twice (its argument, then the root).  NaN raises ValueError; |x| > 2,
+    +-inf included, NoEllipticLogError."""
+    try:
+        n, d = x.as_integer_ratio()  # NaN raises ValueError
+    except OverflowError:  # +-inf is past 2
+        n, d = 3, 1
+    d *= b
+    g = math.gcd(n, d)  # the angle of the value, whatever the pair
+    n, d = abs(n) // g, d // g
+    w = 4 * d * d - n * n  # (2d cos(theta/2))^2
+    if w < 0:
+        raise NoEllipticLogError(f"|trace| > 2 at x = {x}{f'/{b}' * (b != 1)}: no rotation angle")
+    cut = 1 << max(0, d.bit_length() - 500)
+    sin, cos = n / cut, math.sqrt(w / (cut * cut))  # 2d (sin, cos)(theta/2) / cut
+    if sin < cos * 2.0**-1000:  # theta/2 near or below the subnormals
+        return 2 * sin / cos  # theta = 2 tan(theta/2) within 2^-2000
+    return 2.0 * math.atan2(sin, cos)
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,49 @@ def test_float_orbit_leaving_the_float_range_exits_two(tmp_path, capsys, argv, l
     assert list(tmp_path.iterdir()) == []
 
 
+# The float orbit is stepped and printed in blocks of cli._FLOAT_BLOCK rows:
+# one row short of a block, a whole block, and one row into the next.
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_float_orbits_match_trajectory_across_a_block_boundary(capsys, extra):
+    steps = cli._FLOAT_BLOCK + extra
+    s0 = PhaseState(Fraction(-3, 5), Fraction(2, 7))
+    state = ["--x", "1/10", "--steps", str(steps), "--p0=-3/5", "--q0", "2/7"]
+    for label, scheme in (("first", SchemeId.FIRST_ORDER), ("second", SchemeId.SECOND_ORDER)):
+        code, out = run_cli(capsys, "simulate", "--scheme", label, *state)
+        assert code == 0
+        assert out == reference_rows("simulate", scheme, Fraction(1, 10), s0, steps, False)
+    code, out = run_cli(capsys, "shadow", *state)
+    assert code == 0
+    assert out == reference_rows("shadow", None, Fraction(1, 10), s0, steps, False)
+
+
+# Overflows past the first block, at x = 2.001 from (p0, q0): (command,
+# failing orbit, first bad step).  From (1, 1) and (2, 1) the second orbit
+# fails first, partway through a block the first orbit also fails in.
+BLOCK_OVERFLOWS = [
+    (["simulate"], ("1", "0"), "first", 5563),
+    (["simulate", "--scheme", "second"], ("1", "0"), "second", 5568),
+    (["shadow"], ("1", "0"), "first", 5563),
+    (["shadow"], ("1", "1"), "second", 5569),
+    (["shadow"], ("2", "1"), "second", 5558),
+]
+
+
+@pytest.mark.parametrize("argv,start,label,step", BLOCK_OVERFLOWS)
+def test_float_overflow_past_the_first_block_keeps_the_rows_before_it(
+    capsys, argv, start, label, step
+):
+    assert step > cli._FLOAT_BLOCK
+    state = ["--x", "2.001", "--steps", "20000", f"--p0={start[0]}", f"--q0={start[1]}"]
+    assert cli.main([*argv, *state]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == overflow_message(label, "2.001", step)
+    s0 = PhaseState(*map(Fraction, start))
+    scheme = SchemeId.SECOND_ORDER if "second" in argv else SchemeId.FIRST_ORDER
+    command = argv[0]
+    assert captured.out == reference_rows(command, scheme, Fraction("2.001"), s0, step - 1, False)
+
+
 # SHA-256 of exact simulate rows that the benchmark's digests (first
 # order, x = 5/2, 2000 steps) do not reach: the second scheme, a
 # non-dyadic x, and the shrinking zero-energy eigenvector (2, 1).
@@ -758,6 +801,7 @@ def test_sweep_answers_inside_the_radius_where_the_float_x_is_two(capsys, x):
     (row,) = parse_csv(out)[1:]
     assert row[:3] == [repr(float(x)), "-2.0", "elliptic"]
     assert row[5] == repr(generator_scale(Fraction(x))) == "15707963266.948965"
+    assert row[6] == "3.141592653389793"  # pi - 2e-10, where the float x gives pi
 
 
 def test_unwritable_out_exits_two_naming_the_path(tmp_path, capsys):
@@ -915,6 +959,31 @@ def test_failed_write_removes_the_partial_out_file(tmp_path):
     assert err.decode() == f"shadowosc: error: cannot write stdout: {too_large}\n"
     rows = target.read_bytes()
     assert len(rows) == 4096 and rows.startswith(b"step,p,q,shadow_energy,p2_plus_q2\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this platform")
+@pytest.mark.parametrize("steps", ["10", "3000"])
+def test_write_cut_short_fails_under_an_unbuffered_stdout(tmp_path, capsys, steps):
+    # Under python -u, stdout's text layer hands each write to the file
+    # itself and drops what a write the system cuts short leaves over.  A
+    # size limit 10 bytes short of the CSV, inside its last write, must
+    # still fail the run.
+    code, rows = run_cli(capsys, "simulate", "--steps", steps)
+    assert code == 0
+    size = len(rows) - 10
+    limit = (
+        "import io, resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({size}, {size}))\n"
+        "sys.stdout = io.TextIOWrapper(io.FileIO(1, 'w', closefd=False), write_through=True)"
+    )
+    target = tmp_path / "rows.csv"
+    with open(target, "wb") as stdout:
+        proc = console_script(["simulate", "--steps", steps], limit, stdout=stdout)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == f"shadowosc: error: cannot write stdout: {os.strerror(errno.EFBIG)}\n"
+    assert target.read_text() == rows[:size]
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
@@ -1127,7 +1196,7 @@ def reference_grid_rows(command, scheme, xs):
     """verify (both schemes) or sweep (one scheme) rows and exit code,
     with every exact column computed on Fractions from map_matrix,
     shadow_form, generator_direction and stability_classify, and the
-    scale and radius from the library at the exact x.  A log row
+    scale, radius and angle from the library at the exact x.  A log row
     holds if map - (trace/2) I = x direction exactly, and its residual is
     |x| |theta/sin theta - scale| max|direction|, with cos theta = 1 - x^2/2
     and sin theta = |x| sqrt(1 - x^2/4) each rounded once from the exact x:
@@ -1150,7 +1219,7 @@ def reference_grid_rows(command, scheme, xs):
                 repr(spectral_radius(x)),
                 repr(float(shadow_form(scheme, x).det())),
                 scale_text,
-                repr(rotation_angle(float(x))) if abs(trace) <= 2 else "",
+                repr(rotation_angle(x)) if abs(trace) <= 2 else "",
             ])
         return "".join(",".join(row) + "\n" for row in rows), 0
     rows = [["invariant", "x", "residual", "pass"],
@@ -1225,6 +1294,20 @@ def test_grid_rows_match_fraction_reference(capsys, grid):
     ],
 )
 def test_verify_checks_each_sample(capsys, monkeypatch, invariant, perturb):
+    failed = failed_rows_at_one_half(capsys, monkeypatch, perturb)
+    # Each exact row's perturbation breaks the identity the log row checks too;
+    # the residual, computed from x alone, stays within the gate.
+    log_row = failed.pop()
+    assert log_row[:2] == ["log_vs_generator_second", "0.5"] and float(log_row[2]) <= 1e-12
+    if invariant != "log_vs_generator":
+        assert failed == [[f"{invariant}_second", "0.5", "exact", "fail"]]
+    else:
+        assert failed == []
+
+
+def failed_rows_at_one_half(capsys, monkeypatch, perturb):
+    """The failed rows of verify on 0:1:1/4 with the second scheme's
+    (K, D, F, f, G, g) at x = 1/2 replaced by perturb(K, D, F, f, G, g)."""
     helper = cli._scaled_matrices
 
     def broken(scheme, n, b):
@@ -1236,15 +1319,44 @@ def test_verify_checks_each_sample(capsys, monkeypatch, invariant, perturb):
     monkeypatch.setattr(cli, "_scaled_matrices", broken)
     code, out = run_cli(capsys, "verify", "--x-range", "0:1:1/4")
     assert code == 1
-    failed = [row for row in parse_csv(out) if row[3] == "fail"]
-    # Each exact row's perturbation breaks the identity the log row checks too;
-    # the residual, computed from x alone, stays within the gate.
-    log_row = failed.pop()
-    assert log_row[:2] == ["log_vs_generator_second", "0.5"] and float(log_row[2]) <= 1e-12
-    if invariant != "log_vs_generator":
-        assert failed == [[f"{invariant}_second", "0.5", "exact", "fail"]]
-    else:
-        assert failed == []
+    return [row for row in parse_csv(out) if row[3] == "fail"]
+
+
+def _with(m, **entries):
+    return Mat2(*(entries.get(name, getattr(m, name)) for name in "abcd"))
+
+
+# verify reads the entries of K, F and G: a change to one entry fails the
+# rows that read it.  At x = 1/2 the second scheme has F diagonal and G
+# anti-diagonal, so G.a alone moves only the (a, a) entry of F G and of
+# g b (2K - T I) - 2 D n G, and G.d only the (d, d) ones; F G keeps its
+# zero diagonal whatever F.a is, and F.a alone moves only b + c of F G.
+@pytest.mark.parametrize(
+    "entry, perturb, failing",
+    [
+        ("G.a", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, a=1), gs),
+         ["antisymmetry", "log_vs_generator"]),
+        ("G.d", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, d=1), gs),
+         ["antisymmetry", "log_vs_generator"]),
+        ("G.b", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, b=g.b + 1), gs),
+         ["antisymmetry", "log_vs_generator"]),
+        ("G.c", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, c=g.c + 1), gs),
+         ["antisymmetry", "log_vs_generator"]),
+        ("K.c", lambda k, d, f, fs, g, gs: (_with(k, c=k.c + 1), d, f, fs, g, gs),
+         ["det_map", "log_vs_generator"]),
+        ("F.a", lambda k, d, f, fs, g, gs: (k, d, _with(f, a=2 * f.a), fs, g, gs),
+         ["antisymmetry"]),
+    ],
+    ids=["G.a", "G.d", "G.b", "G.c", "K.c", "F.a"],
+)
+def test_verify_checks_each_entry(capsys, monkeypatch, entry, perturb, failing):
+    if entry == "F.a":  # the product F G that verify checks keeps its zero diagonal
+        k, d, f, fs, g, gs = perturb(*cli._scaled_matrices(SchemeId.SECOND_ORDER, 1, 2))
+        product = f @ g
+        assert product.a == product.d == 0 and product.b + product.c != 0
+    failed = failed_rows_at_one_half(capsys, monkeypatch, perturb)
+    assert [row[0] for row in failed] == [f"{name}_second" for name in failing]
+    assert all(row[1] == "0.5" for row in failed)
 
 
 def radius_reference(x):

@@ -625,6 +625,39 @@ def test_rotation_angle():
         rotation_angle(3.0)
 
 
+# 2 asin(x/2) at the exact x, rounded to the nearest float, from a 300-bit
+# reference; 2 asin(|float(x)|/2) differs at 1.99999999999999999999 and
+# at 5e-324, where it gives pi and 0.0.
+@pytest.mark.parametrize(
+    "x, theta",
+    [
+        (Fraction("1.99999999999999999999"), 3.141592653389793),  # the float x is 2.0
+        (2 - Fraction(1, 2**52), 3.1415926237874707),
+        (1e-300, 1e-300),  # d is about 2^1049, and 4d^2 past the float range
+        (5e-324, 5e-324),  # theta/2 is half the least subnormal
+        (Fraction(1, 3), 0.33489615843937864),
+        (1, 1.0471975511965979),
+        (2, math.pi),
+    ],
+)
+def test_rotation_angle_at_the_exact_x(x, theta):
+    n, d = Fraction(x).as_integer_ratio()
+    assert rotation_angle(x) == theta
+    # The angle of x = n/d, given as any pair, is that of its value.
+    for scale in (1, 3, 2**80):
+        assert rotation_angle(-n * scale, d * scale) == theta
+        assert rotation_angle(Fraction(n, d) * scale, scale) == theta
+
+
+def test_rotation_angle_refuses_past_the_radius():
+    for x, b in ((Fraction(2) + Fraction(1, 10**30), 1), (math.inf, 1), (-math.inf, 1), (7, 3)):
+        with pytest.raises(NoEllipticLogError, match="no rotation angle"):
+            rotation_angle(x, b)
+    with pytest.raises(ValueError) as info:
+        rotation_angle(math.nan, 3)
+    assert not isinstance(info.value, NoEllipticLogError)
+
+
 # -- trajectories -------------------------------------------------------------
 
 
