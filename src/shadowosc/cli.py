@@ -22,7 +22,7 @@ import sys
 from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain
 
 from . import oscillator
 from .oscillator import (
@@ -141,33 +141,30 @@ _LOG_TOL = 1e-12  # verify's absolute gate on log_vs_generator residuals
 _FLOAT_BLOCK = 1024  # rows per block of the float orbit
 
 
-def _float_blocks(args, scheme: SchemeId) -> Iterator[tuple[list[float], ...]]:
-    """The float orbit in blocks of _FLOAT_BLOCK rows, as columns (p, q,
-    p^2 + q^2, shadow energy).  The step is step_first_order or
-    step_second_order and the energy that of shadow_form, op for op, on plain
-    floats: Fraction op float is float(Fraction) op float, so each energy has
-    the bits of shadow_energy(state, scheme, x).  At a row whose energy or p^2 + q^2 is
+def _float_blocks(args, scheme: SchemeId) -> Iterator[list[tuple[int, float, float, float, float]]]:
+    """The float orbit in blocks of _FLOAT_BLOCK rows (step, p, q, p^2 + q^2,
+    shadow energy).  The step is step_first_order or step_second_order and
+    the energy that of shadow_form, op for op, on plain floats: Fraction op
+    float is float(Fraction) op float, so each energy has the bits of
+    shadow_energy(state, scheme, x).  At a row whose energy or p^2 + q^2 is
     not finite, the rows before it are yielded, then ValueError is raised;
     callers take the first block at once, so a bad start fails before any row."""
     x, p, q = (_float(name, *getattr(args, name).as_integer_ratio()) for name in ("x", "p0", "q0"))
     a, b, c, d = map(float, shadow_form(scheme, x).entries())
     cross, second, half_x = b + c, scheme is SchemeId.SECOND_ORDER, HALF * x
     for first in range(0, args.steps + 1, _FLOAT_BLOCK):
-        ps, qs, norms, energies = block = [], [], [], []
+        block = []
         for step in range(first, min(first + _FLOAT_BLOCK, args.steps + 1)):
             # A finite p^2 + q^2 implies a finite p and q.
             norm, energy = p * p + q * q, a * p * p + cross * p * q + d * q * q
             if energy - energy or norm - norm:
-                if ps:
+                if block:
                     yield block
                 raise ValueError(
                     f"the {scheme.value}-order float orbit at x = {x!r} leaves the float range"
                     f" at step {step}; use --exact"
                 )
-            ps.append(p)
-            qs.append(q)
-            norms.append(norm)
-            energies.append(energy)
+            block.append((step, p, q, norm, energy))
             if second:  # the next row's state
                 p -= half_x * q
                 q += x * p
@@ -191,6 +188,10 @@ class _FloatText(dict):
                 self.clear()
             self[value] = text
         return text
+
+    def cells(self, energy: float, energy0: float) -> tuple[str, str]:
+        """The energy and its drift from energy0, as text."""
+        return self[energy], self[energy - energy0]
 
 
 class _ExactText(dict):
@@ -309,13 +310,12 @@ def cmd_verify(args) -> Iterator[str]:
             gap = abs(x) * abs(math.atan2(sin, (four_b_sq - 2 * n * n) / four_b_sq) / sin - scale)
         for scheme, det_map, antisymmetry, det_sign, log_vs_generator in labels:
             k, k_scale, f, _, g, g_scale = _scaled_matrices(scheme, n, b)
-            # F G + (F G)^t = 0: the diagonal of F G is 0, and so is its b + c.
-            skew = f.a * g.a + f.b * g.c or f.c * g.b + f.d * g.d
+            skew = f.a * g.a + f.b * g.c or f.c * g.b + f.d * g.d  # F G's diagonal, then b + c
             skew = skew or f.a * g.b + f.b * g.d + f.c * g.a + f.d * g.c
             det = f.a * f.d - f.b * f.c
             rows += [
                 (det_map, k.a * k.d - k.b * k.c == k_scale * k_scale, "exact"),
-                (antisymmetry, not skew, "exact"),
+                (antisymmetry, not skew, "exact"),  # F G + (F G)^t = 0
                 (det_sign, det * edge > 0 or det == edge == 0, "exact"),
             ]
             if gap is not None:  # log(map) = (theta/sin theta) (K - (T/2) I)/D, which is x G/g
@@ -327,14 +327,13 @@ def cmd_verify(args) -> Iterator[str]:
         if edge <= 0:
             rows.append(("divergence_signaled", _generator_scale(n, b) is None, "exact"))
         rows += log_rows
+        tally[0] += len(rows)
+        tally[1] += sum(not ok for _, ok, _ in rows)
         x_text = repr(x)
-        text = "".join([
+        return "".join([
             f"{label},{x_text},{residual},{'pass' if ok else 'fail'}\n"
             for label, ok, residual in rows
         ])
-        tally[0] += len(rows)
-        tally[1] += text.count(",fail\n")
-        return text
 
     relations = f"generator_relations,,exact,{'pass' if relations_ok else 'fail'}\n"
     rows = _grid("invariant,x,residual,pass\n" + relations, args.x_range, sample)
@@ -351,44 +350,28 @@ def cmd_simulate(args) -> Iterator[str]:
             f"{text.cells(energy, row0[-1])[0]},{_format_ratio(norm, e_sq)}\n"
             for step, (((p, q), e), (norm, e_sq), energy) in enumerate(chain([row0], orbit))
         )
-    else:  # zip ends a block before it draws the next step from the count
-        blocks, text, steps = _float_blocks(args, scheme), _FloatText(), count()
+    else:
+        blocks, text = _float_blocks(args, scheme), _FloatText()
         lines = (  # the first block is taken here: a bad start fails at once
-            "".join([
-                f"{step},{p!r},{q!r},{text[energy]},{norm!r}\n"
-                for p, q, norm, energy, step in zip(*block, steps)
-            ])
+            "".join([f"{step},{p!r},{q!r},{text[e]},{norm!r}\n" for step, p, q, norm, e in block])
             for block in chain([next(blocks)], blocks)
         )
     return chain(["step,p,q,shadow_energy,p2_plus_q2\n"], lines)
 
 
-def _float_drift_lines(first, second) -> Iterator[str]:
-    """shadow's float rows from both orbits' blocks, each pair cut to the shorter."""
-    text, steps, energy0 = _FloatText(), count(), None
-    for (*_, ones), (*_, twos) in zip(first, second):
-        one0, two0 = energy0 = energy0 or (ones[0], twos[0])  # row 0's, from the first pair
-        yield "".join([
-            f"{step},{text[one]},{text[one - one0]},{text[two]},{text[two - two0]}\n"
-            for one, two, step in zip(ones, twos, steps)
-        ])
-        if len(twos) < len(ones):  # the second orbit failed first: it raises (on a tie, the first)
-            next(second)
-
-
 def cmd_shadow(args) -> Iterator[str]:
-    header = "step,first_energy,first_drift,second_energy,second_drift\n"
-    if not args.exact:  # each orbit's first block is taken here: a bad start fails at once
-        first, second = (chain([next(o)], o) for o in (_float_blocks(args, s) for s in SchemeId))
-        return chain([header], _float_drift_lines(first, second))
-    cells = _ExactText().cells
-    rows = zip(*(_quadratic_column(args, s, shadow_form(s, args.x).entries()) for s in SchemeId))
+    cells = (_ExactText() if args.exact else _FloatText()).cells
+    if args.exact:
+        streams = [_quadratic_column(args, s, shadow_form(s, args.x).entries()) for s in SchemeId]
+    else:
+        streams = [(row[-1] for block in _float_blocks(args, s) for row in block) for s in SchemeId]
+    rows = zip(*streams)
     row0 = next(rows)
     lines = (
         ",".join([str(step), *chain.from_iterable(map(cells, energies, row0))]) + "\n"
         for step, energies in enumerate(chain([row0], rows))
     )
-    return chain([header], lines)
+    return chain(["step,first_energy,first_drift,second_energy,second_drift\n"], lines)
 
 
 def cmd_sweep(args) -> Iterator[str]:
