@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from itertools import chain
 
@@ -101,10 +101,10 @@ _LOG10_2 = math.log10(2)
 _PRINT = Context(prec=17, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _format_ratio(n: int, d: int) -> str:
-    """n/d (d > 0) as str(Decimal(n) / Decimal(d)) at precision 17 with
-    ROUND_HALF_EVEN, by one integer division; depends only on the value
-    n/d, so the pair need not be reduced."""
+def _format_ratio(n: int, d: int, five: list[int] | None = None) -> str:
+    """n/d (d > 0), any pair of that value, as str(Decimal(n) / Decimal(d))
+    at precision 17, half-even, by one integer division.  A column passes its
+    five = [m, 5^m], kept from cell to cell and multiplied up as the cut m grows."""
     if n == 0:
         return "0"
     sign, n = "-" if n < 0 else "", abs(n)
@@ -114,18 +114,18 @@ def _format_ratio(n: int, d: int) -> str:
     if k >= 0:
         digits, rem = divmod(n * 10**k, d)
     else:  # d 10^-k = D 2^s, D = (d >> t) 5^-k, s = t - k; n // 2^s // D = n // (D 2^s)
-        t = (d & -d).bit_length() - 1
-        digits, rem = divmod(n >> (t - k), (d >> t) * 5**-k)
+        t, five = (d & -d).bit_length() - 1, five or [0, 1]
+        m, power = five  # recomputed only if the cut falls
+        five[:] = -k, power * 5 ** (-k - m) if -k >= m else 5**-k
+        digits, rem = divmod(n >> (t - k), (d >> t) * five[1])
         rem = rem or n & ~(-1 << (t - k))  # nonzero unless both parts are
     if rem:
         # A final 1 stands for the nonzero remainder: with 18 or more digits
         # cut, no 17-digit rounding boundary lies between it and n/d.
-        text = f"{sign}{digits}1E{-k - 1}"
-    else:  # exact: Decimal strips trailing zeros down to exponent 0
-        while k > 0 and digits % 10 == 0:
-            digits, k = digits // 10, k - 1
-        text = f"{sign}{digits}E{-k}"
-    return str(_PRINT.plus(Decimal(text)))
+        digits, k = digits * 10 + 1, k + 1
+    while k > 0 and digits % 10 == 0:  # exact: Decimal strips trailing zeros to exponent 0
+        digits, k = digits // 10, k - 1
+    return str(_PRINT.create_decimal(f"{sign}{digits}E{-k}"))
 
 
 def _float(name: str, n: int, d: int) -> float:
@@ -344,10 +344,10 @@ def cmd_simulate(args) -> Iterator[str]:
     scheme = SchemeId(args.scheme)
     if args.exact:
         orbit, text = _exact_orbit(args, scheme), _ExactText()
-        row0 = next(orbit)
+        row0, p5, q5, r5 = next(orbit), [0, 1], [0, 1], [0, 1]  # each large column's [m, 5^m]
         lines = (
-            f"{step},{_format_ratio(p, e)},{_format_ratio(q, e)},"
-            f"{text.cells(energy, row0[-1])[0]},{_format_ratio(norm, e_sq)}\n"
+            f"{step},{_format_ratio(p, e, p5)},{_format_ratio(q, e, q5)},"
+            f"{text.cells(energy, row0[-1])[0]},{_format_ratio(norm, e_sq, r5)}\n"
             for step, (((p, q), e), (norm, e_sq), energy) in enumerate(chain([row0], orbit))
         )
     else:

@@ -257,8 +257,8 @@ def log_exp_product(
     coeffs = {}
     for n, row in enumerate(total):
         shared = {v: Fraction(v, common * base**n * math.factorial(n)) for v in {*row} - {0}}
-        words = itertools.product(letters, repeat=n)
-        coeffs.update((word, shared[v]) for word, v in zip(words, row) if v)
+        words = itertools.compress(itertools.product(letters, repeat=n), row)
+        coeffs.update(zip(words, map(shared.__getitem__, filter(None, row))))
     return FreeSeries(max_degree, coeffs)
 
 

@@ -323,9 +323,10 @@ def test_format_ratio_matches_reference_for_each_power_of_two(t, sign):
     extra_twos=st.integers(min_value=0, max_value=400),
     kind=st.sampled_from(["random", "multiple", "shifted", "tie"]),
     negative=st.booleans(),
+    carried=st.integers(min_value=0, max_value=6100),
 )
 def test_format_ratio_matches_reference_property(
-    seed, quotient_bits, odd_bits, extra_twos, kind, negative
+    seed, quotient_bits, odd_bits, extra_twos, kind, negative, carried
 ):
     # d = odd 2^t with t from 0 to past the cut m; n/d up to about 2^20000.
     rng = random.Random(seed)
@@ -347,7 +348,36 @@ def test_format_ratio_matches_reference_property(
         s = max(1, cut_digits(n, d) + t)
         n += rng.choice([0, 1, 1 << (s - 1), rng.randrange(1 << s)])
     n = -n if negative else n
-    assert cli._format_ratio(n, d) == format_ratio_reference(n, d)
+    text = format_ratio_reference(n, d)
+    assert cli._format_ratio(n, d) == text
+    # A column's 5^m carried from a cell whose cut was above, at or below this one's.
+    five = [carried, 5**carried]
+    assert cli._format_ratio(n, d, five) == text
+    cut = cut_digits(n, d)
+    assert five == ([cut, 5**cut] if cut > 0 else [carried, 5**carried])
+
+
+# One column's cuts m, cell by cell (m <= 0 is the k >= 0 branch): m rises
+# by 0, 1, 2, 3 and more, falls, and crosses between the two branches; None
+# is a zero cell, which leaves the carried power as it is.
+CARRY_CUTS = [-19, -4, 0, 1, 1, 2, 4, 7, None, 7, 30, 12, 13, -2, 5, 40, 0, None, 3, 3]
+
+
+@pytest.mark.parametrize("d", [3, 3 << 40, 12 * 4**50, 7**30], ids=["odd", "twos", "dyadic", "7^30"])
+def test_format_ratio_carried_column_matches_decimal_division(d):
+    cuts = [cut for cut in CARRY_CUTS if cut is not None]
+    steps = {b - a for a, b in itertools.pairwise(cuts)}
+    assert {0, 1, 2, 3, 23} <= steps and min(steps) < -20
+    five, kept = [0, 1], [0, 1]
+    for i, cut in enumerate(CARRY_CUTS):
+        # 2 10^(m+19) plus a remainder in every other cell, alternating signs.
+        n = 0 if cut is None else (-1) ** i * (2 * 10 ** (cut + 19) * d + i % 2)
+        assert n == 0 or cut_digits(n, d) == cut
+        text = cli._format_ratio(n, d, five)
+        assert text == decimal_reference(n, d) == cli._format_ratio(n, d)
+        if n and cut > 0:
+            kept = [cut, 5**cut]
+        assert five == kept
 
 
 def reference_rows(command, scheme, x, s0, steps, exact):
@@ -401,7 +431,7 @@ def check_streamed_orbits(capsys, x, start, exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("start", STARTS)
-@pytest.mark.parametrize("x", ["1/10", "7/5", "5/2"])
+@pytest.mark.parametrize("x", ["1/10", "7/5", "5/2", "-7/3"])
 def test_streamed_orbits_match_trajectory(capsys, x, start, exact):
     check_streamed_orbits(capsys, x, start, exact)
 
@@ -526,7 +556,8 @@ def test_float_overflow_past_the_first_block_keeps_the_rows_before_it(
 
 # SHA-256 of exact simulate rows that the benchmark's digests (first
 # order, x = 5/2, 2000 steps) do not reach: the second scheme, a
-# non-dyadic x, and the shrinking zero-energy eigenvector (2, 1).
+# non-dyadic x (also negative, with the second scheme), and the shrinking
+# zero-energy eigenvector (2, 1).
 @pytest.mark.parametrize(
     "argv,sha256",
     [
@@ -540,8 +571,12 @@ def test_float_overflow_past_the_first_block_keeps_the_rows_before_it(
             ["--x", "5/2", "--p0", "2", "--q0", "1"],
             "141f7463778060ab3fa7880c60a96e38cea9c767ad9a508c0758b7d10f03a631",
         ),
+        (
+            ["--scheme", "second", "--x", "-7/3", "--p0", "2/3", "--q0", "-1/4"],
+            "d7a63c3d6d790b81aed32333777d3da08bb2a6f7d5213d798882c0277bd7d621",
+        ),
     ],
-    ids=["first-5/2", "second-5/2", "first-7/3", "eigenvector-5/2"],
+    ids=["first-5/2", "second-5/2", "first-7/3", "eigenvector-5/2", "second-negative-7/3"],
 )
 def test_exact_simulate_rows_are_pinned(capsys, argv, sha256):
     code, out = run_cli(capsys, "simulate", *argv, "--steps", "600", "--exact")
