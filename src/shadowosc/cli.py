@@ -22,7 +22,7 @@ import sys
 from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from . import oscillator
 from .oscillator import (
@@ -173,6 +173,61 @@ def _float_blocks(args, scheme: SchemeId) -> Iterator[list[tuple[int, float, flo
                 p -= x * q
                 q += x * p
         yield block
+
+
+def _alternate(first: list, blocks: Iterator[list], fmt) -> Iterator[str]:
+    """fmt(first), then fmt(block) for each of blocks, in order.  With a
+    second block, os.fork and a second CPU, a forked helper formats blocks
+    1, 3, 5, ... into length-prefixed frames on a pipe while this process
+    formats 0, 2, 4, ...  Both step their copy of one generator, so bytes and
+    errors match: the helper sends a block cut short by the error, then this
+    process raises it.  The helper leaves only by os._exit, never flushing
+    inherited buffers; this process closes the pipe and reaps it on every way
+    out, and a helper that ends before a whole frame is a ValueError."""
+    yield fmt(first)
+    second = next(blocks, None)
+    if second is None:
+        return
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    pid = None
+    if cpus > 1 and hasattr(os, "fork"):
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: every block is formatted here
+            os.close(read)
+            os.close(write)
+        if pid == 0:  # the helper
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    for block in islice(chain([second], blocks), 0, None, 2):
+                        data = fmt(block).encode()
+                        pipe.write(len(data).to_bytes(8, "little") + data)
+                        pipe.flush()
+            finally:
+                os._exit(0)
+        if pid:
+            os.close(write)
+            frames = open(read, "rb")
+    try:
+        for i, block in enumerate(chain([second], blocks)):
+            yield fmt(block) if pid is None or i % 2 else _frame(frames)
+    finally:
+        if pid is not None:
+            frames.close()
+            os.waitpid(pid, 0)
+
+
+def _frame(frames) -> str:
+    """The next frame from _alternate's helper, as text."""
+    head = frames.read(8)
+    size = int.from_bytes(head, "little")
+    data = frames.read(size) if len(head) == 8 else b""
+    if not data or len(data) < size:
+        raise ValueError("the helper process that formats every other block ended early")
+    return data.decode()
 
 
 class _FloatText(dict):
@@ -352,9 +407,12 @@ def cmd_simulate(args) -> Iterator[str]:
         )
     else:
         blocks, text = _float_blocks(args, scheme), _FloatText()
-        lines = (  # the first block is taken here: a bad start fails at once
-            "".join([f"{step},{p!r},{q!r},{text[e]},{norm!r}\n" for step, p, q, norm, e in block])
-            for block in chain([next(blocks)], blocks)
+        lines = _alternate(  # the first block is taken here: a bad start fails at once
+            next(blocks),
+            blocks,
+            lambda block: "".join([
+                f"{step},{p!r},{q!r},{text[e]},{norm!r}\n" for step, p, q, norm, e in block
+            ]),
         )
     return chain(["step,p,q,shadow_energy,p2_plus_q2\n"], lines)
 

@@ -10,6 +10,8 @@ import random
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
@@ -511,17 +513,67 @@ def test_float_orbit_leaving_the_float_range_exits_two(tmp_path, capsys, argv, l
     assert list(tmp_path.iterdir()) == []
 
 
+def assert_no_child_left():
+    if hasattr(os, "fork"):  # else there is no helper
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def two_cpus(patch):
+    """Let simulate fork its helper wherever os.fork exists."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def count_forks(patch):
+    """The calls of os.fork from here on, each made while no other thread runs."""
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        assert threading.active_count() == 1
+        forks.append(None)
+        return fork()
+
+    patch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def fork_fails():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+# Whether simulate forks a helper: only under the first rule.
+HELPER_RULES = {
+    "two CPUs": two_cpus,
+    "one CPU": lambda patch: patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False),
+    "one CPU by count": lambda patch: (
+        patch.delattr(os, "sched_getaffinity", raising=False),
+        patch.setattr(os, "cpu_count", lambda: 1),
+    ),
+    "no fork": lambda patch: patch.delattr(os, "fork", raising=False),
+    "fork fails": lambda patch: (two_cpus(patch), patch.setattr(os, "fork", fork_fails)),
+}
+
+
 # The float orbit is stepped and printed in blocks of cli._FLOAT_BLOCK rows:
-# one row short of a block, a whole block, and one row into the next.
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_float_orbits_match_trajectory_across_a_block_boundary(capsys, extra):
+# one row short of a block, a whole block, one row into the next, four
+# blocks and five.  simulate prints the same rows whether a forked helper
+# formats every other block or no helper runs.
+@pytest.mark.parametrize("extra", [-1, 0, 1, 3 * cli._FLOAT_BLOCK - 1, 3 * cli._FLOAT_BLOCK + 3])
+def test_float_orbits_match_trajectory_across_a_block_boundary(capsys, monkeypatch, extra):
     steps = cli._FLOAT_BLOCK + extra
     s0 = PhaseState(Fraction(-3, 5), Fraction(2, 7))
     state = ["--x", "1/10", "--steps", str(steps), "--p0=-3/5", "--q0", "2/7"]
     for label, scheme in (("first", SchemeId.FIRST_ORDER), ("second", SchemeId.SECOND_ORDER)):
-        code, out = run_cli(capsys, "simulate", "--scheme", label, *state)
-        assert code == 0
-        assert out == reference_rows("simulate", scheme, Fraction(1, 10), s0, steps, False)
+        rows = reference_rows("simulate", scheme, Fraction(1, 10), s0, steps, False)
+        for rule, setup in HELPER_RULES.items():
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch) if hasattr(os, "fork") else []
+                setup(patch)
+                code, out = run_cli(capsys, "simulate", "--scheme", label, *state)
+            assert code == 0 and out == rows, rule
+            assert_no_child_left()
+            helper = rule == "two CPUs" and hasattr(os, "fork") and steps >= cli._FLOAT_BLOCK
+            assert len(forks) == helper, rule
     code, out = run_cli(capsys, "shadow", *state)
     assert code == 0
     assert out == reference_rows("shadow", None, Fraction(1, 10), s0, steps, False)
@@ -530,22 +582,27 @@ def test_float_orbits_match_trajectory_across_a_block_boundary(capsys, extra):
 # Overflows past the first block, at x = 2.001 from (p0, q0): (command,
 # failing orbit, first bad step).  From (1, 1) and (2, 1) the second orbit
 # fails first, partway through a block the first orbit also fails in.
+# simulate's helper formats the odd blocks: the first three rows fail in
+# block 5, the last in block 6, which the process itself formats.
 BLOCK_OVERFLOWS = [
     (["simulate"], ("1", "0"), "first", 5563),
     (["simulate", "--scheme", "second"], ("1", "0"), "second", 5568),
     (["shadow"], ("1", "0"), "first", 5563),
     (["shadow"], ("1", "1"), "second", 5569),
     (["shadow"], ("2", "1"), "second", 5558),
+    (["simulate"], ("1e-28", "0"), "first", 6583),
 ]
 
 
 @pytest.mark.parametrize("argv,start,label,step", BLOCK_OVERFLOWS)
 def test_float_overflow_past_the_first_block_keeps_the_rows_before_it(
-    capsys, argv, start, label, step
+    capsys, monkeypatch, argv, start, label, step
 ):
     assert step > cli._FLOAT_BLOCK
+    two_cpus(monkeypatch)
     state = ["--x", "2.001", "--steps", "20000", f"--p0={start[0]}", f"--q0={start[1]}"]
     assert cli.main([*argv, *state]) == 2
+    assert_no_child_left()
     captured = capsys.readouterr()
     assert captured.err == overflow_message(label, "2.001", step)
     s0 = PhaseState(*map(Fraction, start))
@@ -939,6 +996,18 @@ def test_verify_fails_a_divergence_the_series_does_not_signal(capsys, monkeypatc
     assert out.count(",fail\n") == 1
 
 
+def assert_group_ends(pgid):
+    """Wait up to 5 s for every process in group pgid to be reaped."""
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < deadline, "a process of the command outlived it"
+        time.sleep(0.01)
+
+
 def console_script(argv, prelude="", **kwargs):
     """run(), the console script's entry point, in a new interpreter after
     the statements in prelude."""
@@ -962,33 +1031,37 @@ def test_failed_write_exits_two_naming_the_target():
     for argv in argvs:
         for out, target in ((["--out", "/dev/full"], "--out /dev/full"), ([], "stdout")):
             with open("/dev/full", "w") as full:
-                proc = console_script([*out, *argv], broken, stdout=full)
+                proc = console_script([*out, *argv], broken, stdout=full, start_new_session=True)
                 _, err = proc.communicate(timeout=60)
             assert proc.returncode == 2, (argv, target)
             assert err.decode() == (
                 f"shadowosc: error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
             )
+            assert_group_ends(proc.pid)  # simulate's helper included
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this platform")
 def test_failed_write_removes_the_partial_out_file(tmp_path):
-    # A file size limit fails the write after 4096 bytes, partway through.
+    # A file size limit fails the write after 4096 bytes, partway through;
+    # after 300,000 bytes, while simulate's helper runs, which is reaped too.
     limit = (
         "import resource, signal\n"
         "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
-        "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))"
-    )
-    target = tmp_path / "rows.csv"
-    target.write_text("an older file of the same name\n")
-    proc = console_script(["--out", str(target), "simulate", "--steps", "1000"], limit)
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 2
-    too_large = os.strerror(errno.EFBIG)
-    assert err.decode() == f"shadowosc: error: cannot write --out {target}: {too_large}\n"
-    assert list(tmp_path.iterdir()) == []
+        "resource.setrlimit(resource.RLIMIT_FSIZE, ({0}, {0}))"
+    ).format
+    target, too_large = tmp_path / "rows.csv", os.strerror(errno.EFBIG)
+    for size, steps in ((4096, "1000"), (300000, "100000")):
+        target.write_text("an older file of the same name\n")
+        argv = ["--out", str(target), "simulate", "--steps", steps]
+        proc = console_script(argv, limit(size), start_new_session=True)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode() == f"shadowosc: error: cannot write --out {target}: {too_large}\n"
+        assert list(tmp_path.iterdir()) == []
+        assert_group_ends(proc.pid)
     # Rows already written to stdout stay there.
     with open(target, "wb") as stdout:
-        proc = console_script(["simulate", "--steps", "1000"], limit, stdout=stdout)
+        proc = console_script(["simulate", "--steps", "1000"], limit(4096), stdout=stdout)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err.decode() == f"shadowosc: error: cannot write stdout: {too_large}\n"
@@ -1024,13 +1097,50 @@ def test_write_cut_short_fails_under_an_unbuffered_stdout(tmp_path, capsys, step
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 def test_closed_pipe_ends_the_console_script_silently():
     # run() is the console script's entry point; a reader that stops after
-    # one line, as head does, ends it by SIGPIPE with nothing on stderr.
-    proc = console_script(["simulate", "--steps", "1000000"], stdout=subprocess.PIPE)
+    # one line, as head does, ends it by SIGPIPE with nothing on stderr,
+    # and its helper at its next frame.
+    proc = console_script(
+        ["simulate", "--steps", "1000000"], stdout=subprocess.PIPE, start_new_session=True
+    )
     assert proc.stdout.readline() == b"step,p,q,shadow_energy,p2_plus_q2\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode == -signal.SIGPIPE
+    assert_group_ends(proc.pid)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_helper_ending_early_exits_two(tmp_path, capsys, monkeypatch):
+    # The helper formats blocks 1, 3, ...; this one leaves after block 1, so
+    # the rows of blocks 0-2 are printed and then the run fails.
+    two_cpus(monkeypatch)
+    alternate, parent, argv = cli._alternate, os.getpid(), ["simulate", "--steps", "5000"]
+    code, rows = run_cli(capsys, *argv)
+    assert code == 0
+
+    def first_frame_only(first, blocks, fmt):
+        sent = []
+
+        def fmt_or_leave(block):
+            if os.getpid() != parent:
+                if sent:
+                    os._exit(0)
+                sent.append(block)
+            return fmt(block)
+
+        return alternate(first, blocks, fmt_or_leave)
+
+    monkeypatch.setattr(cli, "_alternate", first_frame_only)
+    message = "shadowosc: error: the helper process that formats every other block ended early\n"
+    for out in ([], ["--out", str(tmp_path / "rows.csv")]):
+        assert cli.main([*out, *argv]) == 2
+        assert_no_child_left()
+        captured = capsys.readouterr()
+        assert captured.err == message
+        kept = "".join(rows.splitlines(keepends=True)[: 3 * cli._FLOAT_BLOCK + 1])
+        assert captured.out == ("" if out else kept)
+        assert list(tmp_path.iterdir()) == []  # the partial --out file is removed
 
 
 def test_sweep_default_range(capsys):

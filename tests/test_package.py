@@ -69,6 +69,21 @@ def test_cli_start_up_skips_the_oracle():
     assert not {*ORACLE_MODULES, "dataclasses"} & set(loaded)
 
 
+def test_float_simulate_loads_nothing_past_start_up():
+    # A multi-block float simulate forks its helper (two CPUs are granted
+    # here) and loads no module that start-up does not.
+    prelude = (
+        "import io, contextlib, os, shadowosc.cli as c\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    )
+    started = fresh_modules(prelude + "c.build_parser()")
+    simulated = fresh_modules(
+        prelude + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert c.main(['simulate', '--steps', '3000']) == 0"
+    )
+    assert simulated == started
+
+
 def test_coeffs_loads_the_oracle():
     loaded = fresh_modules(
         "import io, contextlib, shadowosc.cli as c\n"
