@@ -364,20 +364,21 @@ def cmd_verify(args) -> Iterator[str]:
             sin = abs(x) * math.sqrt((four_b_sq - n * n) / four_b_sq)  # |x| sqrt(1 - x^2/4)
             gap = abs(x) * abs(math.atan2(sin, (four_b_sq - 2 * n * n) / four_b_sq) / sin - scale)
         for scheme, det_map, antisymmetry, det_sign, log_vs_generator in labels:
-            k, k_scale, f, _, g, g_scale = _scaled_matrices(scheme, n, b)
-            skew = f.a * g.a + f.b * g.c or f.c * g.b + f.d * g.d  # F G's diagonal, then b + c
-            skew = skew or f.a * g.b + f.b * g.d + f.c * g.a + f.d * g.c
-            det = f.a * f.d - f.b * f.c
+            (k11, k12, k21, k22), k_scale, f, _, g, g_scale = _scaled_matrices(scheme, n, b)
+            (f11, f12, f21, f22), (g11, g12, g21, g22) = f, g
+            skew = f11 * g11 + f12 * g21 or f21 * g12 + f22 * g22  # F G's diagonal, then b + c
+            skew = skew or f11 * g12 + f12 * g22 + f21 * g11 + f22 * g21
+            det = f11 * f22 - f12 * f21
             rows += [
-                (det_map, k.a * k.d - k.b * k.c == k_scale * k_scale, "exact"),
+                (det_map, k11 * k22 - k12 * k21 == k_scale * k_scale, "exact"),
                 (antisymmetry, not skew, "exact"),  # F G + (F G)^t = 0
                 (det_sign, det * edge > 0 or det == edge == 0, "exact"),
             ]
             if gap is not None:  # log(map) = (theta/sin theta) (K - (T/2) I)/D, which is x G/g
                 s, t = g_scale * b, 2 * k_scale * n  # g b (2K - T I) = 2 D n G, entry by entry
-                exact = s * (k.a - k.d) == t * g.a and 2 * s * k.b == t * g.b
-                exact = exact and 2 * s * k.c == t * g.c and s * (k.d - k.a) == t * g.d
-                residual = gap * (max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) / g_scale)
+                exact = s * (k11 - k22) == t * g11 and 2 * s * k12 == t * g12
+                exact = exact and 2 * s * k21 == t * g21 and s * (k22 - k11) == t * g22
+                residual = gap * (max(map(abs, g)) / g_scale)
                 log_rows.append((log_vs_generator, exact and residual <= _LOG_TOL, repr(residual)))
         if edge <= 0:
             rows.append(("divergence_signaled", _generator_scale(n, b) is None, "exact"))
@@ -438,14 +439,14 @@ def cmd_sweep(args) -> Iterator[str]:
     def line(n: int, b: int) -> str:
         x = _float("x", n, b)
         mat, mat_scale, form, form_scale, _, _ = _scaled_matrices(SchemeId.FIRST_ORDER, n, b)
-        trace = mat.trace()
+        trace, det = mat[0] + mat[3], form[0] * form[3] - form[1] * form[2]
         stability = classify_trace(trace, mat_scale)
         scale = _generator_scale(n, b)
         scale_text = "DIVERGENT" if scale is None else repr(scale)
         theta_text = repr(rotation_angle(n, b)) if abs(trace) <= 2 * mat_scale else ""
         return (
             f"{x!r},{_float('trace', trace, mat_scale)!r},{stability.value},"
-            f"{spectral_radius(n, b)!r},{_float('shadow_det', form.det(), form_scale**2)!r},"
+            f"{spectral_radius(n, b)!r},{_float('shadow_det', det, form_scale**2)!r},"
             f"{scale_text},{theta_text}\n"
         )
 

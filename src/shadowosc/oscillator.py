@@ -203,60 +203,44 @@ def scaled_orbit(
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    entries, scale = _common_denominator(map_matrix(scheme, x).entries())
-    step = Mat2(*entries)
-    start, denominator = _common_denominator(s0)
-    state = PhaseState(*start)
-    yield state, denominator
+    (k11, k12, k21, k22), scale = _common_denominator(map_matrix(scheme, x).entries())
+    (p, q), denominator = _common_denominator(s0)
+    yield PhaseState(p, q), denominator
     for _ in range(n_steps):
-        state = step.apply(state)
+        p, q = k11 * p + k12 * q, k21 * p + k22 * q
         denominator *= scale
-        yield state, denominator
+        yield PhaseState(p, q), denominator
 
 
-def _scaled_matrices(scheme: SchemeId, n: int, b: int) -> tuple[Mat2, int, Mat2, int, Mat2, int]:
+def _scaled_matrices(scheme: SchemeId, n: int, b: int) -> tuple[tuple[int, ...] | int, ...]:
     """At x = n/b (b >= 1), the map, the shadow form's matrix and the
-    generator direction as integer matrices over known denominators:
-    (K, D, F, f, G, g) with map_matrix = K/D, shadow_form = F/f
-    and generator_direction = G/g, no pair reduced.  It is to an x grid
-    what scaled_orbit is to trajectory(): no Fraction is built.
+    generator direction as integer entries (a, b, c, d) over known
+    denominators: (K, D, F, f, G, g) with map_matrix = K/D, shadow_form
+    = F/f and generator_direction = G/g, no pair reduced.  It is to an x
+    grid what scaled_orbit is to trajectory(): plain integer tuples, no
+    Mat2 or Fraction per sample.
     """
     b_sq = b * b
     if scheme is SchemeId.FIRST_ORDER:
         nb = n * b
         return (
-            Mat2(b_sq, -nb, nb, b_sq - n * n), b_sq,
-            Mat2(2 * b, -n, -n, 2 * b), 4 * b,
-            Mat2(n, -2 * b, 2 * b, -n), 2 * b,
+            (b_sq, -nb, nb, b_sq - n * n), b_sq,
+            (2 * b, -n, -n, 2 * b), 4 * b,
+            (n, -2 * b, 2 * b, -n), 2 * b,
         )
     four_b_sq = 4 * b_sq
     off = four_b_sq - n * n  # 4 b^2 (1 - x^2/4)
     diag = (four_b_sq - 2 * n * n) * b  # 4 b^3 (1 - x^2/2)
     return (
-        Mat2(diag, -n * off, 4 * n * b_sq, diag), 4 * b * b_sq,
-        Mat2(four_b_sq, 0, 0, off), 8 * b_sq,
-        Mat2(0, -off, four_b_sq, 0), four_b_sq,
+        (diag, -n * off, 4 * n * b_sq, diag), 4 * b * b_sq,
+        (four_b_sq, 0, 0, off), 8 * b_sq,
+        (0, -off, four_b_sq, 0), four_b_sq,
     )
 
 
 # ---------------------------------------------------------------------------
 # Effective generator
 # ---------------------------------------------------------------------------
-
-
-def _inside_radius(x: Scalar) -> float:
-    """float(x); NaN raises ValueError and |x| >= 2 SeriesDivergesError."""
-    try:
-        x = float(x)
-    except OverflowError:  # a rational beyond the float range is far past 2
-        x = math.inf if x > 0 else -math.inf
-    if math.isnan(x):
-        raise ValueError("generator scale is undefined at x = nan")
-    if abs(x) >= 2.0:
-        raise SeriesDivergesError(
-            f"generator scale series diverges for |x| >= 2 (got x = {x})"
-        )
-    return x
 
 
 _SCALE_NODES: dict[int, tuple[float, ...]] = {}  # node j's first 56 c_k as floats, highest first
@@ -314,7 +298,14 @@ def generator_scale_closed_form(x: Scalar) -> float:
     leans on it (see the acceptance suite).  NaN raises ValueError and
     |x| >= 2, infinities included, raises SeriesDivergesError.
     """
-    x = _inside_radius(x)
+    try:
+        x = float(x)
+    except OverflowError:  # a rational beyond the float range is far past 2
+        x = math.inf if x > 0 else -math.inf
+    if math.isnan(x):
+        raise ValueError("generator scale is undefined at x = nan")
+    if abs(x) >= 2.0:
+        raise SeriesDivergesError(f"generator scale series diverges for |x| >= 2 (got x = {x})")
     if x == 0.0:
         return 1.0
     return 2.0 * math.asin(x / 2.0) / (x * math.sqrt(1.0 - x * x / 4.0))

@@ -1425,14 +1425,17 @@ def test_grid_rows_match_fraction_reference(capsys, grid):
     "invariant, perturb",
     [
         # K + D e11 has determinant D^2 + D K.d, not D^2.
-        ("det_map", lambda k, d, f, fs, g, gs: (k + Mat2(d, 0, 0, 0), d, f, fs, g, gs)),
+        ("det_map", lambda k, d, f, fs, g, gs: (_with(k, 0, k[0] + d), d, f, fs, g, gs)),
         # F (G + g I) = F G + g F, whose skew part 2 g F is not zero.
-        ("antisymmetry", lambda k, d, f, fs, g, gs: (k, d, f, fs, g + gs * Mat2.identity(), gs)),
+        (
+            "antisymmetry",
+            lambda k, d, f, fs, g, gs: (k, d, f, fs, (g[0] + gs, g[1], g[2], g[3] + gs), gs),
+        ),
         # Negating F.d flips the sign of det F; negating G.b too keeps F G
         # antisymmetric (the second scheme's F and G are diagonal and anti-diagonal).
         (
             "shadow_det_sign",
-            lambda k, d, f, fs, g, gs: (k, d, Mat2(f.a, 0, 0, -f.d), fs, Mat2(g.a, -g.b, g.c, g.d), gs),
+            lambda k, d, f, fs, g, gs: (k, d, (f[0], 0, 0, -f[3]), fs, _with(g, 1, -g[1]), gs),
         ),
         # Only the identity g b (2K - T I) = 2 D n G and the residual read g.
         ("log_vs_generator", lambda k, d, f, fs, g, gs: (k, d, f, fs, g, 2 * gs)),
@@ -1467,8 +1470,10 @@ def failed_rows_at_one_half(capsys, monkeypatch, perturb):
     return [row for row in parse_csv(out) if row[3] == "fail"]
 
 
-def _with(m, **entries):
-    return Mat2(*(entries.get(name, getattr(m, name)) for name in "abcd"))
+def _with(m, index, value):
+    """The entries (a, b, c, d) of m with the one at index replaced by value;
+    the comments and ids here call entry a of G G.a."""
+    return m[:index] + (value,) + m[index + 1:]
 
 
 # verify reads the entries of K, F and G: a change to one entry fails the
@@ -1479,17 +1484,17 @@ def _with(m, **entries):
 @pytest.mark.parametrize(
     "entry, perturb, failing",
     [
-        ("G.a", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, a=1), gs),
+        ("G.a", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, 0, 1), gs),
          ["antisymmetry", "log_vs_generator"]),
-        ("G.d", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, d=1), gs),
+        ("G.d", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, 3, 1), gs),
          ["antisymmetry", "log_vs_generator"]),
-        ("G.b", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, b=g.b + 1), gs),
+        ("G.b", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, 1, g[1] + 1), gs),
          ["antisymmetry", "log_vs_generator"]),
-        ("G.c", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, c=g.c + 1), gs),
+        ("G.c", lambda k, d, f, fs, g, gs: (k, d, f, fs, _with(g, 2, g[2] + 1), gs),
          ["antisymmetry", "log_vs_generator"]),
-        ("K.c", lambda k, d, f, fs, g, gs: (_with(k, c=k.c + 1), d, f, fs, g, gs),
+        ("K.c", lambda k, d, f, fs, g, gs: (_with(k, 2, k[2] + 1), d, f, fs, g, gs),
          ["det_map", "log_vs_generator"]),
-        ("F.a", lambda k, d, f, fs, g, gs: (k, d, _with(f, a=2 * f.a), fs, g, gs),
+        ("F.a", lambda k, d, f, fs, g, gs: (k, d, _with(f, 0, 2 * f[0]), fs, g, gs),
          ["antisymmetry"]),
     ],
     ids=["G.a", "G.d", "G.b", "G.c", "K.c", "F.a"],
@@ -1497,11 +1502,32 @@ def _with(m, **entries):
 def test_verify_checks_each_entry(capsys, monkeypatch, entry, perturb, failing):
     if entry == "F.a":  # the product F G that verify checks keeps its zero diagonal
         k, d, f, fs, g, gs = perturb(*cli._scaled_matrices(SchemeId.SECOND_ORDER, 1, 2))
-        product = f @ g
-        assert product.a == product.d == 0 and product.b + product.c != 0
+        (f11, f12, f21, f22), (g11, g12, g21, g22) = f, g
+        assert f11 * g11 + f12 * g21 == f21 * g12 + f22 * g22 == 0
+        assert f11 * g12 + f12 * g22 + f21 * g11 + f22 * g21 != 0  # F G's b + c
     failed = failed_rows_at_one_half(capsys, monkeypatch, perturb)
     assert [row[0] for row in failed] == [f"{name}_second" for name in failing]
     assert all(row[1] == "0.5" for row in failed)
+
+
+def test_grids_build_no_mat2_per_sample(capsys, monkeypatch):
+    # verify's only Mat2 objects are the generator relations', built once a
+    # run, and sweep builds none: every sample's matrices are integer tuples.
+    built, init = [], oscillator.Mat2.__init__
+
+    def counted(self, *entries):
+        built.append(None)
+        init(self, *entries)
+
+    monkeypatch.setattr(oscillator.Mat2, "__init__", counted)
+
+    def count(*argv):
+        built.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        return len(built)
+
+    assert count("verify", "--x", "1/2") == count("verify", "--x-range", "0:1:1/1000") > 0
+    assert count("sweep", "--x", "1/2") == count("sweep", "--x-range", "0:1:1/1000") == 0
 
 
 def radius_reference(x):

@@ -746,11 +746,14 @@ def test_scaled_matrices_equal_fraction_reference(scheme, n, b):
         (direction, direction_scale, generator_direction(scheme, x)),
     )
     for scaled, scale, reference in pairs:
-        assert all(type(v) is int for v in (*scaled.entries(), scale)) and scale > 0
-        assert Mat2(*(Fraction(v, scale) for v in scaled.entries())) == reference
+        assert type(scaled) is tuple and len(scaled) == 4
+        assert all(type(v) is int for v in (*scaled, scale)) and scale > 0
+        assert tuple(Fraction(v, scale) for v in scaled) == reference.entries()
     # (K - (T/2) I)/D = x G/g, which verify's log row checks as g b (2K - T I) = 2 D n G.
-    traceless = 2 * mat - mat.trace() * Mat2.identity()
-    assert direction_scale * b * traceless == 2 * mat_scale * n * direction
+    (k11, k12, k21, k22), trace = mat, mat[0] + mat[3]
+    traceless = (2 * k11 - trace, 2 * k12, 2 * k21, 2 * k22 - trace)
+    scaled_g = tuple(2 * mat_scale * n * v for v in direction)
+    assert tuple(direction_scale * b * v for v in traceless) == scaled_g
 
 
 @settings(max_examples=60, deadline=None)
