@@ -596,7 +596,10 @@ def run():
     import signal  # here, so that importing cli does not pay for it
     if hasattr(signal, "SIGPIPE"):  # "| head" ends the run silently, as in coreutils
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    raise SystemExit(main())
+    code = main()  # --out is closed; with the streams flushed, teardown has nothing to write
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None where the fd was closed at exec
+        stream.flush()
+    os._exit(code)  # skips interpreter teardown and atexit handlers
 
 
 if __name__ == "__main__":

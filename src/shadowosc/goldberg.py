@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as cartesian
@@ -119,10 +120,11 @@ def nonalternating_support(max_degree: int) -> dict[int, int]:
     the lone exception, where both such words cancel); only the nilpotent
     collapse removes them.
     """
-    counts = dict.fromkeys(range(1, max_degree + 1), 0)
-    for word in two_letter_oracle(max_degree).coeffs:
-        counts[len(word)] += not _alternates(word)
-    return counts
+    coeffs, ab = two_letter_oracle(max_degree).coeffs, (A, B) * max_degree
+    counts, degrees = Counter(map(len, coeffs)), range(1, max_degree + 1)
+    # Every word, less the alternating ones present: the slices of ABAB...
+    counts.subtract(n for n in degrees for start in (0, 1) if ab[start : start + n] in coeffs)
+    return {degree: counts[degree] for degree in degrees}
 
 
 def _reports(words, closed_form, oracle: FreeSeries, names) -> list[CoeffReport]:
@@ -137,20 +139,15 @@ def verify_two_letter(max_degree: int) -> list[CoeffReport]:
     """Check every alternating word up to max_degree against the oracle."""
     if max_degree < 2:
         raise ValueError(f"max_degree must be >= 2, got {max_degree}")
-    oracle = two_letter_oracle(max_degree)
     support = nonalternating_support(max_degree)
     for degree in range(3, max_degree + 1):
         if support[degree] == 0:
             raise RuntimeError(
                 f"raw log series lost its non-alternating words at degree {degree}"
             )
-    # By length, the A-start word first; A, B = 0, 1 alternate mod 2.
-    words = [
-        tuple((start + i) % 2 for i in range(length))
-        for length in range(1, max_degree + 1)
-        for start in (A, B)
-    ]
-    return _reports(words, goldberg_coeff_two, oracle, ("A", "B"))
+    ab = (A, B) * max_degree  # by length, the A-start word first, as slices of ABAB...
+    words = [ab[start : start + n] for n in range(1, max_degree + 1) for start in (0, 1)]
+    return _reports(words, goldberg_coeff_two, two_letter_oracle(max_degree), ("A", "B"))
 
 
 def verify_three_letter(max_degree: int) -> list[CoeffReport]:

@@ -1110,6 +1110,62 @@ def test_closed_pipe_ends_the_console_script_silently():
     assert_group_ends(proc.pid)
 
 
+def test_console_script_skips_interpreter_teardown(capsys):
+    # Once main returns, run() flushes the streams and leaves by os._exit:
+    # an atexit handler registered by other code never runs, and stdout
+    # still holds every byte main writes.
+    code, rows = run_cli(capsys, "sweep", "--x", "1")
+    assert code == 0
+    marker = "import atexit, sys; atexit.register(sys.stderr.write, 'atexit handler ran\\n')"
+    proc = console_script(["sweep", "--x", "1"], marker, stdout=subprocess.PIPE)
+    assert proc.communicate(timeout=60) == (rows.encode(), b"")
+    assert proc.returncode == 0
+
+
+def test_console_script_failed_check_keeps_the_whole_csv(tmp_path, capsys, monkeypatch):
+    # Exit 1 takes the same exit: every row on stdout or in --out, one line on stderr.
+    broken = "import shadowosc.cli as cli; cli.generator_scale = lambda n, b: 1.0"
+    monkeypatch.setattr(cli, "generator_scale", lambda n, b: 1.0)  # both log rows fail
+    argv, target = ["verify", "--x", "1.999"], tmp_path / "rows.csv"
+    assert cli.main(argv) == 1
+    rows = capsys.readouterr().out.encode()
+    message = b"shadowosc: check failed: 2 of 9 verify rows failed\n"
+    for out, stdout in (([], rows), (["--out", str(target)], b"")):
+        proc = console_script([*out, *argv], broken, stdout=subprocess.PIPE)
+        assert proc.communicate(timeout=60) == (stdout, message)
+        assert proc.returncode == 1
+    assert target.read_bytes() == rows
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 between fork and exec")
+def test_console_script_with_stdout_closed_at_exec_writes_out(tmp_path, capsys):
+    # With fd 1 closed at exec, sys.stdout is None: there is no stdout to flush.
+    code, rows = run_cli(capsys, "sweep", "--x", "1")
+    assert code == 0
+    target = tmp_path / "rows.csv"
+    proc = console_script(
+        ["--out", str(target), "sweep", "--x", "1"], "import sys; assert sys.stdout is None",
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.communicate(timeout=60) == (None, b"")
+    assert proc.returncode == 0
+    assert target.read_bytes() == rows.encode()
+
+
+def test_console_script_usage_error_and_help_keep_argparse_exits(capsys, monkeypatch):
+    # argparse's SystemExit leaves by Python's own exit: a usage error
+    # exits 2 with its text on stderr, and --help exits 0 with the help.
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, in process and in the child
+    for argv, code in ((["sweep", "--x", "abc"], 2), (["sweep", "--help"], 0)):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == code
+        expected = capsys.readouterr()
+        proc = console_script(argv, stdout=subprocess.PIPE)
+        assert proc.communicate(timeout=60) == (expected.out.encode(), expected.err.encode())
+        assert proc.returncode == code
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_helper_ending_early_exits_two(tmp_path, capsys, monkeypatch):
     # The helper formats blocks 1, 3, ...; this one leaves after block 1, so

@@ -165,6 +165,16 @@ def test_raw_log_keeps_nonalternating_words():
     assert all(support[degree] > 0 for degree in range(3, 7))
 
 
+def test_nonalternating_support_matches_the_per_word_count():
+    # The per-length count less the alternating words present equals
+    # testing every word for a repeated adjacent letter.
+    for max_degree in range(1, 15):
+        counts = dict.fromkeys(range(1, max_degree + 1), 0)
+        for word in two_letter_oracle(max_degree).coeffs:
+            counts[len(word)] += any(a == b for a, b in zip(word, word[1:]))
+        assert nonalternating_support(max_degree) == counts
+
+
 def test_three_letter_matches_oracle_through_degree_7():
     reports = verify_three_letter(7)
     assert len(reports) == 45
