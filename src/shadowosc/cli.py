@@ -53,7 +53,21 @@ _DEFAULT_DEGREE = {2: 12, 3: 8}
 MAX_DEGREE = {2: 14, 3: 10}
 
 
+# The most digits in a row, and the largest decimal exponent, an argument
+# may hold: int() refuses longer digit runs by default, and Fraction(text)
+# builds 10^|exponent| first, so a larger one is refused before it.
+MAX_DIGITS = 4300
+# Fraction's decimal form with an exponent, underscores and signs included;
+# compiled on first use, so a run that parses no rational never compiles it.
+_EXPONENT = r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*"
+
+
 def _rational(text: str) -> Fraction:
+    if max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_DIGITS} digits in a row")
+    decimal = re.fullmatch(_EXPONENT, text)
+    if decimal and abs(int(decimal[1])) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"decimal exponent past +-{MAX_DIGITS}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -119,8 +119,6 @@ class FreeSeries:
 
     def scaled(self, factor) -> "FreeSeries":
         factor = Fraction(factor)
-        if not factor:
-            return FreeSeries.zero(self.max_degree)
         return FreeSeries(
             self.max_degree, {w: v * factor for w, v in self.coeffs.items()}
         )
@@ -133,23 +131,12 @@ def series_mul(a: FreeSeries, b: FreeSeries) -> FreeSeries:
     all splittings w = uv; words longer than max_degree are discarded.
     """
     a._check_compatible(b)
-    limit = a.max_degree
-    # Bucket the right factor by word length so overflowing pairs are
-    # skipped wholesale instead of per pair.
-    by_length: dict[int, list[tuple[Word, Fraction]]] = {}
-    for word, value in b.coeffs.items():
-        by_length.setdefault(len(word), []).append((word, value))
     product: dict[Word, Fraction] = {}
     for left, cl in a.coeffs.items():
-        room = limit - len(left)
-        for length, items in by_length.items():
-            if length > room:
-                continue
-            for right, cr in items:
-                word = left + right
-                prev = product.get(word)
-                product[word] = cl * cr if prev is None else prev + cl * cr
-    return FreeSeries(limit, product)
+        for right, cr in b.coeffs.items():
+            if len(left) + len(right) <= a.max_degree:
+                product[left + right] = product.get(left + right, 0) + cl * cr
+    return FreeSeries(a.max_degree, product)
 
 
 def series_exp(a: FreeSeries) -> FreeSeries:
@@ -160,14 +147,8 @@ def series_exp(a: FreeSeries) -> FreeSeries:
     """
     if a.constant_term():
         raise ValueError("series_exp requires a zero constant term")
-    result = FreeSeries.one(a.max_degree)
-    power = FreeSeries.one(a.max_degree)
-    for m in range(1, a.max_degree + 1):
-        power = series_mul(power, a)
-        if not power:
-            break
-        result = result + power.scaled(Fraction(1, math.factorial(m)))
-    return result
+    power_sum = _power_sum(a, lambda m: Fraction(1, math.factorial(m)))
+    return FreeSeries.one(a.max_degree) + power_sum
 
 
 def series_log(a: FreeSeries) -> FreeSeries:
@@ -179,16 +160,16 @@ def series_log(a: FreeSeries) -> FreeSeries:
     if a.constant_term() != 1:
         raise ValueError("series_log requires constant term 1")
     shifted = a - FreeSeries.one(a.max_degree)
-    result = FreeSeries.zero(a.max_degree)
-    power = FreeSeries.one(a.max_degree)
-    sign = 1
+    return _power_sum(shifted, lambda m: Fraction((-1) ** (m + 1), m))
+
+
+def _power_sum(a: FreeSeries, coefficient) -> FreeSeries:
+    """sum c_m a^m for m = 1..N, N = a.max_degree, c_m = coefficient(m)."""
+    total, power = FreeSeries.zero(a.max_degree), FreeSeries.one(a.max_degree)
     for m in range(1, a.max_degree + 1):
-        power = series_mul(power, shifted)
-        if not power:
-            break
-        result = result + power.scaled(Fraction(sign, m))
-        sign = -sign
-    return result
+        power = series_mul(power, a)
+        total = total + power.scaled(coefficient(m))
+    return total
 
 
 def log_exp_product(

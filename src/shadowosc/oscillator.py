@@ -262,8 +262,8 @@ def generator_scale(x: Scalar, b: int = 1) -> float:
     """
     try:
         n, d = x.as_integer_ratio()  # NaN raises ValueError
-    except OverflowError:  # +-inf is past the radius, as 2 is
-        n, d = 2, 1
+    except OverflowError:  # +-inf as 1/0, past the radius at any b
+        n, d = 1, 0
     four_b_sq = 4 * (b * d) ** 2
     w = four_b_sq - n * n  # 4b^2 (1 - z)
     if w <= 0:
@@ -479,8 +479,8 @@ def rotation_angle(x: Scalar, b: int = 1) -> float:
     +-inf included, NoEllipticLogError."""
     try:
         n, d = x.as_integer_ratio()  # NaN raises ValueError
-    except OverflowError:  # +-inf is past 2
-        n, d = 3, 1
+    except OverflowError:  # +-inf as 1/0, past 2 at any b
+        n, d = 1, 0
     d *= b
     g = math.gcd(n, d)  # the angle of the value, whatever the pair
     n, d = abs(n) // g, d // g
@@ -500,7 +500,7 @@ def rotation_angle(x: Scalar, b: int = 1) -> float:
 
 
 def check_generator_relations() -> list[tuple[str, bool]]:
-    """Verify the five exact identities the whole construction rests on."""
+    """Verify the six exact identities the whole construction rests on."""
     ab = commutator(A, B)
     checks = [
         ("A^2 = 0", A @ A == Mat2.zero()),

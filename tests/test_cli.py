@@ -1374,6 +1374,43 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert cli.main(argv) == 2
 
 
+def test_rational_refuses_long_digit_runs_and_exponents_unbuilt():
+    bound = cli.MAX_DIGITS
+    # At the bounds, signs and leading zeros included, the value is Fraction's.
+    for text in (f"1e{bound}", f" -2.5E-{bound} ", f"1e+000{bound}", f".5e-{bound}", "7" * bound):
+        assert cli._rational(text) == Fraction(text)
+    past = bound + 1
+    for text in (f"1e{past}", f"-1.E-{past}", f"1_0.2_5e+{past}", "1e4_301", "2e" + "9" * bound):
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            cli._rational(text)
+        assert str(info.value) == f"decimal exponent past +-{bound}"
+    # More digits than int() reads by default: named, not echoed.
+    for text in ("7" * past, "1/" + "3" * past, "1_" * bound + "1", "1e" + "0" * past):
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            cli._rational(text)
+        assert str(info.value) == f"more than {bound} digits in a row"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--x", "1e100000000"],
+        ["verify", "--x-range", "0:1:1e-100000000"],
+        ["simulate", "--exact", "--p0", "1e100000000"],
+        ["shadow", "--q0", "-1e-100000000"],
+    ],
+)
+def test_huge_exponent_exits_two_without_building_it(argv):
+    # Fraction(text) would build 10^(10^8) first: minutes, not a usage error.
+    with console_script(argv, stdout=subprocess.PIPE) as proc:
+        try:
+            out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+    assert proc.returncode == 2 and out == b""
+    assert err.endswith(f"decimal exponent past +-{cli.MAX_DIGITS}\n".encode())
+
+
 def test_x_and_x_range_are_exclusive(capsys):
     for command in ("verify", "sweep"):
         with pytest.raises(SystemExit) as info:

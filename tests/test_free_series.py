@@ -194,6 +194,13 @@ def test_zero_coefficients_are_dropped():
     assert series == FreeSeries.letter(B, 3)
 
 
+def test_scaled_by_zero_is_the_zero_series():
+    series = FreeSeries(3, {(): 1, (A, B): Fraction(-2, 3), (B, B, A): 5})
+    for zero in (0, Fraction(0)):
+        scaled = series.scaled(zero)
+        assert scaled == FreeSeries.zero(3) and scaled.coeffs == {}
+
+
 def test_fraction_coefficients_are_kept_and_others_converted():
     value = Fraction(2, 3)
     series = FreeSeries(3, {(A,): value, (B,): 2, (A, B): "1/4"})

@@ -226,9 +226,11 @@ def test_generator_scale_rejects_nan():
     with pytest.raises(ValueError) as info:
         generator_scale(float("nan"))
     assert not isinstance(info.value, SeriesDivergesError)
-    for x in (math.inf, -math.inf):
+    # +-inf/b is past the radius at every b, not the scale at some finite x.
+    for x, b in itertools.product((math.inf, -math.inf), (1, 2, 3)):
         with pytest.raises(SeriesDivergesError):
-            generator_scale(x)
+            generator_scale(x, b)
+        assert spectral_radius(x, b) == math.inf
 
 
 def test_generator_scale_closed_form_rejects_nan():
@@ -650,7 +652,8 @@ def test_rotation_angle_at_the_exact_x(x, theta):
 
 
 def test_rotation_angle_refuses_past_the_radius():
-    for x, b in ((Fraction(2) + Fraction(1, 10**30), 1), (math.inf, 1), (-math.inf, 1), (7, 3)):
+    infinities = itertools.product((math.inf, -math.inf), (1, 2, 3))
+    for x, b in ((Fraction(2) + Fraction(1, 10**30), 1), (7, 3), *infinities):
         with pytest.raises(NoEllipticLogError, match="no rotation angle"):
             rotation_angle(x, b)
     with pytest.raises(ValueError) as info:
