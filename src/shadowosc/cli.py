@@ -24,22 +24,29 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from itertools import chain, islice
 
-from . import oscillator
-from .oscillator import (
-    HALF,
-    PhaseState,
-    SchemeId,
-    SeriesDivergesError,
-    _common_denominator,
-    _scaled_matrices,
-    check_generator_relations,
-    classify_trace,
-    generator_scale,
-    rotation_angle,
-    scaled_orbit,
-    shadow_form,
-    spectral_radius,
+# What verify, simulate, shadow and sweep use of oscillator; coeffs never loads it.
+_OSCILLATOR = (
+    "HALF", "PhaseState", "SchemeId", "SeriesDivergesError", "_common_denominator",
+    "_scaled_matrices", "check_generator_relations", "classify_trace", "generator_scale",
+    "rotation_angle", "scaled_orbit", "shadow_form", "spectral_radius",
 )
+
+
+def _oscillator():
+    """oscillator, bound here with _OSCILLATOR's names; a name already set (a wrapper) is kept."""
+    from . import oscillator
+
+    for name in _OSCILLATOR:
+        globals().setdefault(name, getattr(oscillator, name))
+    return globals().setdefault("oscillator", oscillator)
+
+
+def __getattr__(name: str):  # cli.generator_scale before any subcommand has run
+    if name != "oscillator" and name not in _OSCILLATOR:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _oscillator()
+    return globals()[name]
+
 
 # Larger --x-range grids are refused before any sample is built.
 MAX_X_SAMPLES = 10**6
@@ -473,7 +480,37 @@ def cmd_sweep(args) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-def _add_orbit(parser):
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser; fill(self) adds its arguments, and binds what the
+    handler uses of oscillator, the first time argparse parses with it."""
+
+    def __init__(self, fill, **kwargs):
+        super().__init__(**kwargs)
+        self.fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        fill, self.fill = self.fill, None
+        if fill:
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_coeffs(parser):
+    parser.add_argument("--letters", type=int, choices=sorted(MAX_DEGREE), default=2)
+    parser.add_argument(
+        "--max-degree",
+        type=int,
+        default=None,
+        help=f"truncation order (default {_DEFAULT_DEGREE[2]} for two letters, "
+        f"{_DEFAULT_DEGREE[3]} for three; at most {MAX_DEGREE[2]} and {MAX_DEGREE[3]})",
+    )
+
+
+def _add_orbit(parser, scheme=False):
+    _oscillator()
+    if scheme:  # simulate's
+        choices = [s.value for s in SchemeId]
+        parser.add_argument("--scheme", choices=choices, default="first", help="integrator scheme")
     parser.add_argument("--x", type=_rational, default=Fraction(1), help="time step")
     parser.add_argument("--steps", type=_nonnegative_int, default=100)
     parser.add_argument("--p0", type=_rational, default=Fraction(1), help="initial momentum")
@@ -486,6 +523,7 @@ def _add_orbit(parser):
 
 
 def _add_x_choice(parser):
+    _oscillator()
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--x", type=_x_sample, dest="x_range", metavar="X", default=argparse.SUPPRESS,
@@ -527,38 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
         "split-step harmonic oscillator.",
     )
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    coeffs = sub.add_parser("coeffs", help="check word coefficients against the oracle")
-    coeffs.add_argument("--letters", type=int, choices=sorted(MAX_DEGREE), default=2)
-    coeffs.add_argument(
-        "--max-degree",
-        type=int,
-        default=None,
-        help=f"truncation order (default {_DEFAULT_DEGREE[2]} for two letters, "
-        f"{_DEFAULT_DEGREE[3]} for three; at most {MAX_DEGREE[2]} and {MAX_DEGREE[3]})",
-    )
-    coeffs.set_defaults(handler=cmd_coeffs)
-
-    verify = sub.add_parser("verify", help="check matrix identities per time step")
-    _add_x_choice(verify)
-    verify.set_defaults(handler=cmd_verify)
-
-    simulate = sub.add_parser("simulate", help="emit one trajectory")
-    simulate.add_argument(
-        "--scheme", choices=[s.value for s in SchemeId], default="first", help="integrator scheme"
-    )
-    _add_orbit(simulate)
-    simulate.set_defaults(handler=cmd_simulate)
-
-    shadow = sub.add_parser("shadow", help="per-step energy drift, both schemes")
-    _add_orbit(shadow)
-    shadow.set_defaults(handler=cmd_shadow)
-
-    sweep = sub.add_parser("sweep", help="stability survey over time steps")
-    _add_x_choice(sweep)
-    sweep.set_defaults(handler=cmd_sweep)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, text, fill, handler in (
+        ("coeffs", "check word coefficients against the oracle", _add_coeffs, cmd_coeffs),
+        ("verify", "check matrix identities per time step", _add_x_choice, cmd_verify),
+        ("simulate", "emit one trajectory", lambda parser: _add_orbit(parser, True), cmd_simulate),
+        ("shadow", "per-step energy drift, both schemes", _add_orbit, cmd_shadow),
+        ("sweep", "stability survey over time steps", _add_x_choice, cmd_sweep),
+    ):
+        sub.add_parser(name, help=text, fill=fill).set_defaults(handler=handler)
     return parser
 
 

@@ -240,7 +240,10 @@ def log_exp_product(
         shared = {v: Fraction(v, common * base**n * math.factorial(n)) for v in {*row} - {0}}
         words = itertools.compress(itertools.product(letters, repeat=n), row)
         coeffs.update(zip(words, map(shared.__getitem__, filter(None, row))))
-    return FreeSeries(max_degree, coeffs)
+    result = object.__new__(FreeSeries)  # coeffs is already clean: __init__ would copy it
+    object.__setattr__(result, "max_degree", max_degree)
+    object.__setattr__(result, "coeffs", coeffs)
+    return result
 
 
 def _concat(

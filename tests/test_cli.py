@@ -661,6 +661,9 @@ def test_simulate_and_shadow_memory_does_not_grow_with_steps(tmp_path):
 
 
 def exact_orbit_args(x, start, steps):
+    """simulate's arguments without its parser, which is what binds the
+    oscillator names that cli's orbit helpers use: they are bound here."""
+    cli._oscillator()
     p0, q0 = (Fraction(v) for v in start)
     return argparse.Namespace(x=Fraction(x), p0=p0, q0=q0, steps=steps)
 
@@ -1164,6 +1167,64 @@ def test_console_script_usage_error_and_help_keep_argparse_exits(capsys, monkeyp
         proc = console_script(argv, stdout=subprocess.PIPE)
         assert proc.communicate(timeout=60) == (expected.out.encode(), expected.err.encode())
         assert proc.returncode == code
+
+
+# The CLI surface, recorded on Python 3.10-3.13 while build_parser still
+# filled in every subcommand at once: each subcommand's parser now adds its
+# arguments when argparse first parses with it, so these bytes pin that
+# argparse still routes the chosen subcommand through its parse_known_args.
+HELP_SHA256 = {
+    "": "5b6f62971a60dab85bd3efc43577f0eeae664f1f3f04021754714f3356517d1f",
+    "coeffs": "45c4d945d3df7c7c0b7da60a82575fdcbe99c3c64ab89d74019bcebaf942a9d0",
+    "verify": "e5d3d8673ac16232ca8d927279ed954766fa7904c10d79aab3c76ac2885ccc4e",
+    "simulate": "f11c12fe888a7febb703a09c26cefd429d5f5da9fc7dc0d5fd935b4ac9f020c0",
+    "shadow": "77305dd822ea710cf73a14cec31af37646d4ce066b3f6c7f63d8e7eff79c3a77",
+    "sweep": "a323c3ff017622564dad2f30bfbb2895bbef933ed56d7a770d2861442b9b0125",
+}
+TOP_USAGE = "usage: shadowosc [-h] [--out OUT] {coeffs,verify,simulate,shadow,sweep} ...\n"
+USAGE_ERRORS = [
+    ("bogus", TOP_USAGE + "shadowosc: error: argument command: invalid choice: 'bogus'"
+     " (choose from 'coeffs', 'verify', 'simulate', 'shadow', 'sweep')\n"),
+    ("coeffs --bogus", TOP_USAGE + "shadowosc: error: unrecognized arguments: --bogus\n"),
+    ("simulate --scheme third",
+     "usage: shadowosc simulate [-h] [--scheme {first,second}] [--x X]\n"
+     "                          [--steps STEPS] [--p0 P0] [--q0 Q0] [--exact]\n"
+     "shadowosc simulate: error: argument --scheme: invalid choice: 'third'"
+     " (choose from 'first', 'second')\n"),
+    ("sweep --x-range 1:0:1",
+     "usage: shadowosc sweep [-h] [--x X | --x-range START:STOP:STEP]\n"
+     "shadowosc sweep: error: argument --x-range: stop must be >= start\n"),
+    ("", TOP_USAGE + "shadowosc: error: the following arguments are required: command\n"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_bytes_are_pinned(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = console_script([*command.split(), "--help"], stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == HELP_SHA256[command]
+
+
+@pytest.mark.parametrize("argv,stderr", USAGE_ERRORS)
+def test_usage_error_bytes_are_pinned(monkeypatch, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = console_script(argv.split(), stdout=subprocess.PIPE)
+    assert proc.communicate(timeout=60) == (b"", stderr.encode())
+    assert proc.returncode == 2
+
+
+def test_coeffs_parses_no_rational(capsys, monkeypatch):
+    # Only verify and sweep parse the --x-range default, when argparse
+    # fills in their parser; coeffs fills in its own alone.
+    parsed = []
+    rational = cli._rational
+    monkeypatch.setattr(cli, "_rational", lambda text: parsed.append(text) or rational(text))
+    assert run_cli(capsys, "coeffs", "--max-degree", "4")[0] == 0
+    assert parsed == []
+    assert run_cli(capsys, "sweep", "--x", "1")[0] == 0
+    assert parsed == ["0", "3", "0.1", "1"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowosc.free_series import (
     FreeSeries,
@@ -150,6 +152,29 @@ def test_log_exp_product_sizes_by_distinct_letters():
     # One distinct letter is one word per length.  Lists sized by the
     # largest index would hold 10**n words at length n.
     assert log_exp_product(((9, 1),), 14) == FreeSeries(14, {(9,): 1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weights=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    max_degree=st.integers(1, 6),
+)
+def test_log_exp_product_result_is_a_clean_series(weights, max_degree):
+    # The oracle builds its result without the constructor, so it must hold
+    # what the constructor would keep: words of at most max_degree letters,
+    # each with a nonzero Fraction.
+    result = log_exp_product(weights, max_degree)
+    assert result == FreeSeries(max_degree, dict(result.coeffs))
+    for word, value in result.coeffs.items():
+        assert type(word) is tuple and len(word) <= max_degree
+        assert type(value) is Fraction and value != 0
 
 
 def test_log_exp_product_rejects_negative_letter():

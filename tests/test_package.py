@@ -65,23 +65,24 @@ ORACLE_MODULES = {"shadowosc.goldberg", "shadowosc.free_series"}
 
 def test_cli_start_up_skips_the_oracle():
     loaded = fresh_modules("import shadowosc.cli as c; c.build_parser()")
-    assert "shadowosc.oscillator" in loaded
-    assert not {*ORACLE_MODULES, "dataclasses"} & set(loaded)
+    assert not {*ORACLE_MODULES, "shadowosc.oscillator", "dataclasses"} & set(loaded)
 
 
 def test_float_simulate_loads_nothing_past_start_up():
     # A multi-block float simulate forks its helper (two CPUs are granted
-    # here) and loads no module that start-up does not.
+    # here) and loads no module that parsing its arguments does not.  That
+    # parse loads the oscillator alone past the bare parser's start-up.
     prelude = (
         "import io, contextlib, os, shadowosc.cli as c\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
     )
     started = fresh_modules(prelude + "c.build_parser()")
+    parsed = fresh_modules(prelude + "c.build_parser().parse_args(['simulate'])")
     simulated = fresh_modules(
         prelude + "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert c.main(['simulate', '--steps', '3000']) == 0"
     )
-    assert simulated == started
+    assert simulated == parsed == sorted([*started, "shadowosc.oscillator"])
 
 
 def test_coeffs_loads_the_oracle():
@@ -92,7 +93,27 @@ def test_coeffs_loads_the_oracle():
     )
     assert ORACLE_MODULES <= set(loaded)
     # The oracle's records are NamedTuples: nothing loads dataclasses.
-    assert "dataclasses" not in loaded
+    assert not {"shadowosc.oscillator", "dataclasses"} & set(loaded)
+
+
+def test_cli_keeps_a_wrapper_set_before_the_first_subcommand():
+    # A scale of 1.0 fails verify's log rows at 1.999: the wrapper set on
+    # cli before it loaded the oscillator is the one that runs.
+    fresh_modules(
+        "import io, contextlib, shadowosc.cli as c\n"
+        "c.generator_scale = lambda n, b: 1.0\n"
+        "assert 'shadowosc.oscillator' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert c.main(['verify', '--x', '1.999']) == 1\n"
+        "assert c.generator_scale(1, 1) == 1.0"
+    )
+    # A name read before any subcommand has run is the oscillator's own.
+    fresh_modules(
+        "import shadowosc.cli as c\n"
+        "helper, module = c._scaled_matrices, c.oscillator\n"
+        "from shadowosc import oscillator\n"
+        "assert helper is oscillator._scaled_matrices and module is oscillator"
+    )
 
 
 def test_bare_package_import_loads_no_submodule():
