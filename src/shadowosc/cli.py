@@ -26,9 +26,9 @@ from itertools import chain, islice
 
 # What verify, simulate, shadow and sweep use of oscillator; coeffs never loads it.
 _OSCILLATOR = (
-    "HALF", "PhaseState", "SchemeId", "SeriesDivergesError", "_common_denominator",
-    "_scaled_matrices", "check_generator_relations", "classify_trace", "generator_scale",
-    "rotation_angle", "scaled_orbit", "shadow_form", "spectral_radius",
+    "SchemeId", "SeriesDivergesError", "_common_denominator", "_scaled_matrices",
+    "check_generator_relations", "classify_trace", "generator_scale", "rotation_angle",
+    "scaled_orbit", "shadow_form", "spectral_radius",
 )
 
 
@@ -172,7 +172,7 @@ def _float_blocks(args, scheme: SchemeId) -> Iterator[list[tuple[int, float, flo
     callers take the first block at once, so a bad start fails before any row."""
     x, p, q = (_float(name, *getattr(args, name).as_integer_ratio()) for name in ("x", "p0", "q0"))
     a, b, c, d = map(float, shadow_form(scheme, x).entries())
-    cross, second, half_x = b + c, scheme is SchemeId.SECOND_ORDER, HALF * x
+    cross, second, half_x = b + c, scheme is SchemeId.SECOND_ORDER, 0.5 * x
     for first in range(0, args.steps + 1, _FLOAT_BLOCK):
         block = []
         for step in range(first, min(first + _FLOAT_BLOCK, args.steps + 1)):
@@ -289,7 +289,7 @@ def _quadratic_column(args, scheme: SchemeId, form) -> Iterator[tuple[int, int]]
     (a, b, c, d), form_scale = _common_denominator(form)
     step_map = oscillator.map_matrix(scheme, args.x)
     (k11, k12, k21, k22), step = _common_denominator(step_map.entries())
-    orbit = scaled_orbit(PhaseState(args.p0, args.q0), scheme, args.x, 2)
+    orbit = scaled_orbit((args.p0, args.q0), scheme, args.x, 2)
     rows = [(a * p * p + (b + c) * p * q + d * q * q, form_scale * e * e) for (p, q), e in orbit]
     yield from rows[: args.steps + 1]
     det = k11 * k22 - k12 * k21
@@ -304,7 +304,7 @@ def _quadratic_column(args, scheme: SchemeId, form) -> Iterator[tuple[int, int]]
 def _exact_orbit(args, scheme: SchemeId):
     """The exact state (P/E, Q/E), p^2 + q^2 = R/E^2 and shadow energy N/M,
     streamed as (((P, Q), E), (R, E^2), (N, M)) integers."""
-    orbit = scaled_orbit(PhaseState(args.p0, args.q0), scheme, args.x, args.steps)
+    orbit = scaled_orbit((args.p0, args.q0), scheme, args.x, args.steps)
     forms = (1, 0, 0, 1), shadow_form(scheme, args.x).entries()
     return zip(orbit, *(_quadratic_column(args, scheme, form) for form in forms), strict=True)
 
@@ -312,14 +312,6 @@ def _exact_orbit(args, scheme: SchemeId):
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
-
-
-def _raise_if_failed(tally: list[int], what: str) -> Iterator[str]:
-    """Yields no line: reached after a handler's last line, it raises
-    RuntimeError if tally, [rows, failed rows], counts a failure."""
-    if tally[1]:
-        raise RuntimeError(f"{tally[1]} of {tally[0]} {what}")
-    yield from ()
 
 
 def _generator_scale(n: int, b: int) -> float | None:
@@ -354,13 +346,11 @@ def cmd_coeffs(args) -> Iterator[str]:
 
     verify = goldberg.verify_two_letter if letters == 2 else goldberg.verify_three_letter
     reports = verify(max_degree)
-    lines = (
-        f"{r.word},{r.closed_form},{r.oracle},{'true' if r.match else 'false'}\n"
-        for r in reports
-    )
-    tally = [len(reports), sum(not r.match for r in reports)]
-    failed = _raise_if_failed(tally, "words differ from the oracle")
-    return chain(["word,closed_form,oracle,match\n"], lines, failed)
+    yield "word,closed_form,oracle,match\n"
+    for r in reports:
+        yield f"{r.word},{r.closed_form},{r.oracle},{'true' if r.match else 'false'}\n"
+    if failed := sum(not r.match for r in reports):
+        raise RuntimeError(f"{failed} of {len(reports)} words differ from the oracle")
 
 
 def cmd_verify(args) -> Iterator[str]:
@@ -413,8 +403,9 @@ def cmd_verify(args) -> Iterator[str]:
         ])
 
     relations = f"generator_relations,,exact,{'pass' if relations_ok else 'fail'}\n"
-    rows = _grid("invariant,x,residual,pass\n" + relations, args.x_range, sample)
-    return chain(rows, _raise_if_failed(tally, "verify rows failed"))
+    yield from _grid("invariant,x,residual,pass\n" + relations, args.x_range, sample)
+    if tally[1]:
+        raise RuntimeError(f"{tally[1]} of {tally[0]} verify rows failed")
 
 
 def cmd_simulate(args) -> Iterator[str]:
@@ -532,7 +523,7 @@ def _add_x_choice(parser):
     group.add_argument(
         "--x-range",
         type=_x_range,
-        default=_x_range("0:3:0.1"),
+        default="0:3:0.1",  # parsed only if neither option is given
         metavar="START:STOP:STEP",
         help=f"inclusive sweep, at most {MAX_X_SAMPLES} samples (default 0:3:0.1)",
     )
@@ -578,20 +569,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Its handler returns finished lines, streamed here;
-    it raises ValueError (exit 2) before the first for input it refuses, and
-    RuntimeError (exit 1, the CSV kept) after the last if a check failed.  A
-    later ValueError or a failed write exits 2 and removes a partial --out."""
+    """Stream one subcommand's lines.  The first, its header, is taken before
+    the output opens: input refused by then exits 2 (ValueError) and leaves it
+    untouched.  RuntimeError after the last line exits 1, the CSV kept; a later
+    ValueError or a failed write exits 2 and removes a partial --out."""
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     out, handle = args.out, None
     try:
-        lines = args.handler(args)
+        header = next(lines := args.handler(args))
         handle = sys.stdout if out is None else open(out, "w", newline="")
         if isinstance(getattr(handle, "buffer", None), io.RawIOBase):  # python -u
             # The text layer would drop what a partial write leaves over.
             handle = open(handle.fileno(), "w", encoding=handle.encoding, closefd=False)
         try:
+            handle.write(header)
             handle.writelines(lines)
         finally:  # in the outer try: a failed write outranks a failed check
             handle.flush()

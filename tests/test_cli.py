@@ -858,7 +858,8 @@ FLOAT_OVERFLOWS = (
 
 
 def test_exit_two_leaves_no_csv(tmp_path, capsys):
-    target = tmp_path / "rows.csv"
+    # Refused before the first row: no CSV, and an older --out keeps its bytes.
+    target, older = tmp_path / "rows.csv", tmp_path / "older.csv"
     for argv in (
         ["verify", "--x", "1.99999999999999999"],  # rounds to 2.0 in floats: refused
         ["verify", "--x", "1.9999999999999998"],  # refused: |x| scale is 4.2e8
@@ -872,6 +873,10 @@ def test_exit_two_leaves_no_csv(tmp_path, capsys):
             assert captured.out == ""
             assert "error" in captured.err
             assert not target.exists()
+        older.write_bytes(b"x,y\n1,2\n")
+        assert cli.main(["--out", str(older), *argv]) == 2
+        assert capsys.readouterr().out == ""
+        assert older.read_bytes() == b"x,y\n1,2\n"
 
 
 @pytest.mark.parametrize("command", ["verify"])
@@ -1224,7 +1229,10 @@ def test_coeffs_parses_no_rational(capsys, monkeypatch):
     assert run_cli(capsys, "coeffs", "--max-degree", "4")[0] == 0
     assert parsed == []
     assert run_cli(capsys, "sweep", "--x", "1")[0] == 0
-    assert parsed == ["0", "3", "0.1", "1"]
+    assert parsed == ["1"]  # the --x-range default is text, parsed only when used
+    parsed.clear()
+    assert run_cli(capsys, "sweep")[0] == 0
+    assert parsed == ["0", "3", "0.1"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")

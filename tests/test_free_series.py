@@ -49,11 +49,14 @@ def test_mul_truncated_inverse_pair():
 def test_mul_mismatched_orders_rejected():
     with pytest.raises(ValueError):
         series_mul(FreeSeries.one(3), FreeSeries.one(4))
+    with pytest.raises(ValueError):
+        FreeSeries(0, {(): 1})
 
 
 def test_mul_truncates_overflow_words():
     a = FreeSeries(2, {(A, A): 1})
     assert series_mul(a, a) == FreeSeries.zero(2)
+    assert FreeSeries(2, {(A, A, A): 1, (B,): 1}) == FreeSeries.letter(B, 2)
 
 
 def test_exp_of_zero():
@@ -110,6 +113,8 @@ def test_log_exp_product_single_factor():
 def test_log_exp_product_needs_factors():
     with pytest.raises(ValueError):
         log_exp_product([], 3)
+    with pytest.raises(ValueError):
+        log_exp_product([(A, 1)], 0)
 
 
 def reference_log_exp_product(weights, max_degree):
@@ -180,6 +185,8 @@ def test_log_exp_product_result_is_a_clean_series(weights, max_degree):
 def test_log_exp_product_rejects_negative_letter():
     with pytest.raises(ValueError):
         log_exp_product([(A, 1), (-1, 1)], 3)
+    with pytest.raises(ValueError):
+        FreeSeries.letter(-1, 3)
 
 
 def test_log_exp_roundtrip_random():

@@ -154,6 +154,8 @@ def test_two_letter_degree_two_values():
 def test_verify_two_letter_rejects_tiny_degree():
     with pytest.raises(ValueError):
         verify_two_letter(1)
+    with pytest.raises(ValueError):
+        verify_three_letter(2)
 
 
 def test_raw_log_keeps_nonalternating_words():

@@ -194,7 +194,8 @@ def test_unit_jacobian_exact():
 
 
 def test_generator_scale_at_zero_and_one():
-    assert generator_scale(0) == 1.0
+    for zero in (0, 0.0, -0.0):
+        assert generator_scale(zero) == generator_scale_closed_form(zero) == 1.0
     expected = 2 * math.pi / (3 * math.sqrt(3))
     assert generator_scale(1) == pytest.approx(expected, abs=1e-12)
 
