@@ -270,17 +270,6 @@ class _FloatText(dict):
         return self[energy], self[energy - energy0]
 
 
-class _ExactText(dict):
-    """Exact energy cells: equal values print alike, so energy0's text is reused."""
-
-    def cells(self, energy: tuple[int, int], energy0: tuple[int, int]) -> tuple[str, str]:
-        (n, d), (n0, d0) = energy, energy0
-        drift = n * d0 - n0 * d
-        if drift:
-            return _format_ratio(n, d), _format_ratio(drift, d * d0)
-        return self.get(energy0) or self.setdefault(energy0, _format_ratio(n0, d0)), "0"
-
-
 def _quadratic_column(args, scheme: SchemeId, form) -> Iterator[tuple[int, int]]:
     """(p q) F (p q)^t, F the rationals in form, at each exact state, as
     integer pairs (N, M) of value N/M.  N obeys Cayley-Hamilton for the
@@ -302,11 +291,22 @@ def _quadratic_column(args, scheme: SchemeId, form) -> Iterator[tuple[int, int]]
 
 
 def _exact_orbit(args, scheme: SchemeId):
-    """The exact state (P/E, Q/E), p^2 + q^2 = R/E^2 and shadow energy N/M,
-    streamed as (((P, Q), E), (R, E^2), (N, M)) integers."""
+    """The exact state (P/E, Q/E) and p^2 + q^2 = R/E^2 as (((P, Q), E), (R, E^2)) integers."""
     orbit = scaled_orbit((args.p0, args.q0), scheme, args.x, args.steps)
-    forms = (1, 0, 0, 1), shadow_form(scheme, args.x).entries()
-    return zip(orbit, *(_quadratic_column(args, scheme, form) for form in forms), strict=True)
+    return zip(orbit, _quadratic_column(args, scheme, (1, 0, 0, 1)), strict=True)
+
+
+def _energy_text(args, scheme: SchemeId) -> str:
+    """The exact shadow energy of every row, as text.  The map K/D keeps the
+    form F/f, (K/D)^t F (K/D) = F, exactly when K^t F K = D^2 F on integers;
+    checked once, it gives every row row 0's energy by induction."""
+    matrices = oscillator.map_matrix(scheme, args.x), shadow_form(scheme, args.x)
+    (k, step), (f, _) = (_common_denominator(m.entries()) for m in matrices)
+    k, f = oscillator.Mat2(*k), oscillator.Mat2(*f)
+    if k.transpose() @ f @ k != step * step * f:
+        raise RuntimeError(f"the {scheme.value}-order map does not keep its shadow form")
+    energy = oscillator.shadow_energy(oscillator.PhaseState(args.p0, args.q0), scheme, args.x)
+    return _format_ratio(*energy.as_integer_ratio())
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +411,11 @@ def cmd_verify(args) -> Iterator[str]:
 def cmd_simulate(args) -> Iterator[str]:
     scheme = SchemeId(args.scheme)
     if args.exact:
-        orbit, text = _exact_orbit(args, scheme), _ExactText()
-        row0, p5, q5, r5 = next(orbit), [0, 1], [0, 1], [0, 1]  # each large column's [m, 5^m]
+        energy, p5, q5, r5 = _energy_text(args, scheme), [0, 1], [0, 1], [0, 1]  # [m, 5^m] each
         lines = (
             f"{step},{_format_ratio(p, e, p5)},{_format_ratio(q, e, q5)},"
-            f"{text.cells(energy, row0[-1])[0]},{_format_ratio(norm, e_sq, r5)}\n"
-            for step, (((p, q), e), (norm, e_sq), energy) in enumerate(chain([row0], orbit))
+            f"{energy},{_format_ratio(norm, e_sq, r5)}\n"
+            for step, (((p, q), e), (norm, e_sq)) in enumerate(_exact_orbit(args, scheme))
         )
     else:
         blocks, text = _float_blocks(args, scheme), _FloatText()
@@ -431,18 +430,18 @@ def cmd_simulate(args) -> Iterator[str]:
 
 
 def cmd_shadow(args) -> Iterator[str]:
-    cells = (_ExactText() if args.exact else _FloatText()).cells
-    if args.exact:
-        streams = [_quadratic_column(args, s, shadow_form(s, args.x).entries()) for s in SchemeId]
-    else:
-        streams = [(row[-1] for block in _float_blocks(args, s) for row in block) for s in SchemeId]
-    rows = zip(*streams)
+    header = "step,first_energy,first_drift,second_energy,second_drift\n"
+    if args.exact:  # each scheme's energy is proved constant, so every drift is 0
+        tail = "".join([f",{_energy_text(args, s)},0" for s in SchemeId]) + "\n"
+        return chain([header], (f"{step}{tail}" for step in range(args.steps + 1)))
+    cells = _FloatText().cells
+    rows = zip(*[(row[-1] for block in _float_blocks(args, s) for row in block) for s in SchemeId])
     row0 = next(rows)
     lines = (
         ",".join([str(step), *chain.from_iterable(map(cells, energies, row0))]) + "\n"
         for step, energies in enumerate(chain([row0], rows))
     )
-    return chain(["step,first_energy,first_drift,second_energy,second_drift\n"], lines)
+    return chain([header], lines)
 
 
 def cmd_sweep(args) -> Iterator[str]:

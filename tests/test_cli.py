@@ -690,8 +690,16 @@ def carry_starts(x, scheme):
     return starts
 
 
+def exact_rows(args, scheme):
+    """_exact_orbit's rows, each with the shadow energy _quadratic_column gives
+    for it: the per-row witness of the identity that cli checks once."""
+    energies = cli._quadratic_column(args, scheme, shadow_form(scheme, args.x).entries())
+    rows = zip(cli._exact_orbit(args, scheme), energies, strict=True)
+    return [(*row, energy) for row, energy in rows]
+
+
 def assert_rows_are_direct_squares(rows, scheme, x):
-    """Each _exact_orbit row's p^2 + q^2 and energy equal the squared state."""
+    """Each exact_rows row's p^2 + q^2 and energy equal the squared state."""
     (a, cross, d), form_scale = energy_form(scheme, x)
     for ((p, q), scale), (norm, scale_sq), (energy, energy_scale) in rows:
         assert norm == p * p + q * q
@@ -704,7 +712,7 @@ def assert_rows_are_direct_squares(rows, scheme, x):
 @pytest.mark.parametrize("x", CARRY_XS)
 def test_exact_orbit_carried_squares_equal_direct_squares(x, scheme):
     for start, steps in itertools.product(carry_starts(x, scheme), RECURRENCE_STEPS):
-        rows = list(cli._exact_orbit(exact_orbit_args(x, start, steps), scheme))
+        rows = exact_rows(exact_orbit_args(x, start, steps), scheme)
         assert len(rows) == steps + 1
         assert_rows_are_direct_squares(rows, scheme, Fraction(x))
         if start == (2, 1):
@@ -714,20 +722,25 @@ def test_exact_orbit_carried_squares_equal_direct_squares(x, scheme):
 @pytest.mark.parametrize("scheme", list(SchemeId))
 @pytest.mark.parametrize("x", CARRY_XS)
 def test_shadow_energy_stream_equals_exact_orbit_energies(x, scheme):
-    # shadow --exact takes only the energy column and steps the state for
-    # rows 0-2 alone; its stream must still be _exact_orbit's, row by row.
+    # The shadow energy column steps the state for rows 0-2 alone; its
+    # stream must still be the energies of _exact_orbit's states, row by row.
+    (a, cross, d), form_scale = energy_form(scheme, Fraction(x))
     for start, steps in itertools.product(carry_starts(x, scheme), RECURRENCE_STEPS):
         args = exact_orbit_args(x, start, steps)
         form = shadow_form(scheme, args.x).entries()
         energies = list(cli._quadratic_column(args, scheme, form))
-        assert energies == [energy for *_, energy in cli._exact_orbit(args, scheme)]
+        assert energies == [
+            (a * p * p + cross * p * q + d * q * q, form_scale * e * e)
+            for ((p, q), e), _ in cli._exact_orbit(args, scheme)
+        ]
     if scheme is SchemeId.SECOND_ORDER:
         return
     # shadow's CSV prints both schemes: each energy and its drift as
-    # _format_ratio gives them for _exact_orbit's rows, text reuse or not.
+    # _format_ratio gives them for every row of the real orbit, although
+    # shadow prints row 0's text throughout once its identity holds.
     for start in carry_starts(x, scheme):
         args = argparse.Namespace(exact=True, **vars(exact_orbit_args(x, start, 40)))
-        orbits = [[energy for *_, energy in cli._exact_orbit(args, s)] for s in SchemeId]
+        orbits = [[energy for *_, energy in exact_rows(args, s)] for s in SchemeId]
         expected = ["step,first_energy,first_drift,second_energy,second_drift\n"]
         for step, row in enumerate(zip(*orbits)):
             cells = []
@@ -737,39 +750,65 @@ def test_shadow_energy_stream_equals_exact_orbit_energies(x, scheme):
         assert list(cli.cmd_shadow(args)) == expected
 
 
-def test_exact_orbit_recurrence_holds_for_any_step_matrix(monkeypatch):
-    # A map of determinant 10/3: the recurrence may assume neither
-    # det K = D^2 nor a conserved energy.
-    def map_matrix_stub(scheme, x):
-        return Mat2(Fraction(3, 2), 1, Fraction(-1, 3), 2)
+def map_matrix_stub(scheme, x):
+    """A map of determinant 10/3, which keeps no shadow form."""
+    return Mat2(Fraction(3, 2), 1, Fraction(-1, 3), 2)
 
+
+def test_exact_orbit_recurrence_holds_for_any_step_matrix(monkeypatch):
+    # The recurrence may assume neither det K = D^2 nor a conserved energy.
     # cli reads the map through the oscillator module, as scaled_orbit does.
     monkeypatch.setattr(oscillator, "map_matrix", map_matrix_stub)
     for scheme in SchemeId:
         for start, steps in itertools.product([(1, 0), ("-3/5", "2/7")], (0, 1, 2, 3, 40)):
-            rows = list(cli._exact_orbit(exact_orbit_args("1/3", start, steps), scheme))
+            rows = exact_rows(exact_orbit_args("1/3", start, steps), scheme)
             assert len(rows) == steps + 1
             assert_rows_are_direct_squares(rows, scheme, Fraction(1, 3))
             if steps:  # the stub conserves no energy
                 assert len({Fraction(*energy) for *_, energy in rows}) > 1
 
 
-def test_exact_text_reuses_step_zero_text_only_for_equal_values(monkeypatch):
-    printed = []
+@pytest.mark.parametrize(
+    "argv",
+    [["shadow", "--exact"], ["simulate", "--exact"], ["simulate", "--exact", "--scheme", "second"]],
+)
+def test_map_that_keeps_no_shadow_form_fails_the_exact_check(monkeypatch, tmp_path, capsys, argv):
+    # The identity is checked before the header: exit 1, one stderr line,
+    # no row, and an older --out keeps its bytes.
+    monkeypatch.setattr(oscillator, "map_matrix", map_matrix_stub)
+    older = tmp_path / "older.csv"
+    older.write_bytes(b"x,y\n1,2\n")
+    for out in ([], ["--out", str(older)]):
+        assert cli.main([*out, *argv, "--x", "1/3", "--steps", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("shadowosc: check failed: ")
+        assert captured.err.count("\n") == 1
+        assert older.read_bytes() == b"x,y\n1,2\n"
 
-    def format_ratio(n, d):
-        printed.append((n, d))
-        return format_ratio_reference(n, d)
 
-    monkeypatch.setattr(cli, "_format_ratio", format_ratio)
-    text, energy0 = cli._ExactText(), (1, 3)
-    first = text.cells(energy0, energy0)
-    assert first == ("0.33333333333333333", "0") and printed == [energy0]
-    # The same value as another pair: step 0's text, printed nowhere again.
-    assert text.cells((2, 6), energy0) == first and printed == [energy0]
-    # One more in n: printed afresh, with a nonzero drift.
-    assert text.cells((2, 3), energy0) == ("0.66666666666666667", "0.33333333333333333")
-    assert printed == [energy0, (2, 3), (3, 9)]
+def integer_form_identity(scheme, x):
+    """(K^t F K, D^2 F) on the integer map K/D and shadow form F/f that cli checks."""
+    k, step = oscillator._common_denominator(map_matrix(scheme, x).entries())
+    f, _ = oscillator._common_denominator(shadow_form(scheme, x).entries())
+    k, f = Mat2(*k), Mat2(*f)
+    return k.transpose() @ f @ k, step * step * f
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.fractions(min_value=-2, max_value=2),
+        st.fractions().filter(lambda x: abs(x) > 2),
+        st.sampled_from([Fraction(0), Fraction(2), Fraction(-2)]),
+    ),
+    st.sampled_from(list(SchemeId)),
+)
+@example(Fraction(1, 10**4299), SchemeId.SECOND_ORDER)  # repr refuses 10^4300
+def test_step_map_keeps_the_shadow_form_on_integers(x, scheme):
+    # K^t F K = D^2 F holds wherever the CLI runs, so the check never refuses a real map.
+    kept, scaled = integer_form_identity(scheme, x)
+    assert kept == scaled
 
 
 def test_exact_simulate_zero_steps_is_one_row(capsys):
@@ -794,7 +833,7 @@ def integer_power(m, n):
 def test_exact_orbit_far_row_matches_map_power(x, scheme):
     steps, start = 4000, ("-3/5", "2/7")
     args = exact_orbit_args(x, start, steps)
-    *_, row = cli._exact_orbit(args, scheme)
+    *_, row = exact_rows(args, scheme)
     entries, step = oscillator._common_denominator(map_matrix(scheme, args.x).entries())
     (p0, q0), scale0 = oscillator._common_denominator((args.p0, args.q0))
     p, q = integer_power(Mat2(*entries), steps).apply(PhaseState(p0, q0))

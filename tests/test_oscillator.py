@@ -785,6 +785,45 @@ def test_scaled_orbit_streams_and_checks_steps():
         next(scaled_orbit(PhaseState(1, 0), FIRST, 1, -1))
 
 
+def magnitudes_grow(orbit):
+    """Per step n >= 1 of scaled_orbit's pairs ((P, Q), E), with E > 0, the
+    signs of |p_n| - |p_{n-1}| and |q_n| - |q_{n-1}|, in integers."""
+    def sign(v):
+        return (v > 0) - (v < 0)
+
+    return [
+        (sign(abs(p1) * e0 - abs(p0) * e1), sign(abs(q1) * e0 - abs(q0) * e1))
+        for ((p0, q0), e0), ((p1, q1), e1) in zip(orbit, orbit[1:])
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scheme=st.sampled_from(list(SchemeId)),
+    x=st.fractions(min_value=2, max_denominator=10**6).filter(lambda v: v > 2),
+    negative=st.booleans(),
+    start=st.sampled_from([(1, 0), (0, 1)]),
+)
+def test_magnitudes_grow_past_the_radius(scheme, x, negative, start):
+    # The abstract's third claim, stated precisely: for |x| > 2, from (1, 0)
+    # or (0, 1), |p| and |q| do not shrink at step 1 and grow strictly at
+    # every later step.  From (1, +-1) the second scheme shrinks at step 1.
+    x = -x if negative else x
+    signs = magnitudes_grow(list(scaled_orbit(PhaseState(*start), scheme, x, 40)))
+    assert min(signs[0]) >= 0
+    assert set(signs[1:]) == {(1, 1)}
+
+
+def test_contracting_eigenline_shrinks_past_the_radius():
+    # Not every start grows: at x = 5/2 the first-order map has eigenvalues
+    # -4 and -1/4, and (2, 1) spans the contracting one.
+    orbit = list(scaled_orbit(PhaseState(2, 1), FIRST, Fraction(5, 2), 40))
+    states = [(Fraction(p, e), Fraction(q, e)) for (p, q), e in orbit]
+    assert states[1:3] == [(Fraction(-1, 2), Fraction(-1, 4)), (Fraction(1, 8), Fraction(1, 16))]
+    assert all(p1 == p0 / -4 and q1 == q0 / -4 for (p0, q0), (p1, q1) in zip(states, states[1:]))
+    assert set(magnitudes_grow(orbit)) == {(-1, -1)}
+
+
 def test_parabolic_edge_grows_quadratically():
     # At x = 2 the map is -(I + nilpotent): from (1, 0) the n-th state is
     # (-1)^n (1 - 2n, -2n), so p^2 + q^2 = 8n^2 - 4n + 1 exactly.
