@@ -122,10 +122,11 @@ _LOG10_2 = math.log10(2)
 _PRINT = Context(prec=17, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _format_ratio(n: int, d: int, five: list[int] | None = None) -> str:
+def _format_ratio(n: int, d: int, carry: list[int] | None = None) -> str:
     """n/d (d > 0), any pair of that value, as str(Decimal(n) / Decimal(d))
     at precision 17, half-even, by one integer division.  A column passes its
-    five = [m, 5^m], kept from cell to cell and multiplied up as the cut m grows."""
+    carry = [m, o, o 5^m], o the odd part of its last large cell's d, kept from
+    cell to cell and multiplied up while the cut m grows and d grows by a factor."""
     if n == 0:
         return "0"
     sign, n = "-" if n < 0 else "", abs(n)
@@ -135,10 +136,13 @@ def _format_ratio(n: int, d: int, five: list[int] | None = None) -> str:
     if k >= 0:
         digits, rem = divmod(n * 10**k, d)
     else:  # d 10^-k = D 2^s, D = (d >> t) 5^-k, s = t - k; n // 2^s // D = n // (D 2^s)
-        t, five = (d & -d).bit_length() - 1, five or [0, 1]
-        m, power = five  # recomputed only if the cut falls
-        five[:] = -k, power * 5 ** (-k - m) if -k >= m else 5**-k
-        digits, rem = divmod(n >> (t - k), (d >> t) * five[1])
+        t, carry = (d & -d).bit_length() - 1, carry or [0, 1, 1]
+        m, odd, divisor = carry  # divisor = odd 5^m
+        growth, rest = divmod(d >> t, odd)
+        if rest or -k < m:  # d's odd part is no multiple of odd, or the cut fell: D anew
+            growth, m, divisor = d >> t, 0, 1
+        carry[:] = -k, d >> t, divisor * (growth * 5 ** (-k - m))  # small times big unless anew
+        digits, rem = divmod(n >> (t - k), carry[2])
         rem = rem or n & ~(-1 << (t - k))  # nonzero unless both parts are
     if rem:
         # A final 1 stands for the nonzero remainder: with 18 or more digits
@@ -168,8 +172,7 @@ def _float_blocks(args, scheme: SchemeId) -> Iterator[list[tuple[int, float, flo
     the energy that of shadow_form, op for op, on plain floats: Fraction op
     float is float(Fraction) op float, so each energy has the bits of
     shadow_energy(state, scheme, x).  At a row whose energy or p^2 + q^2 is
-    not finite, the rows before it are yielded, then ValueError is raised;
-    callers take the first block at once, so a bad start fails before any row."""
+    not finite, the rows before it are yielded, then ValueError is raised."""
     x, p, q = (_float(name, *getattr(args, name).as_integer_ratio()) for name in ("x", "p0", "q0"))
     a, b, c, d = map(float, shadow_form(scheme, x).entries())
     cross, second, half_x = b + c, scheme is SchemeId.SECOND_ORDER, 0.5 * x
@@ -196,16 +199,16 @@ def _float_blocks(args, scheme: SchemeId) -> Iterator[list[tuple[int, float, flo
         yield block
 
 
-def _alternate(first: list, blocks: Iterator[list], fmt) -> Iterator[str]:
-    """fmt(first), then fmt(block) for each of blocks, in order.  With a
-    second block, os.fork and a second CPU, a forked helper formats blocks
-    1, 3, 5, ... into length-prefixed frames on a pipe while this process
-    formats 0, 2, 4, ...  Both step their copy of one generator, so bytes and
-    errors match: the helper sends a block cut short by the error, then this
-    process raises it.  The helper leaves only by os._exit, never flushing
-    inherited buffers; this process closes the pipe and reaps it on every way
-    out, and a helper that ends before a whole frame is a ValueError."""
-    yield fmt(first)
+def _alternate(blocks: Iterator[list], fmt) -> Iterator[str]:
+    """fmt(block) for each of blocks, in order.  With a second block, os.fork
+    and a second CPU, a forked helper formats blocks 1, 3, 5, ... into
+    length-prefixed frames on a pipe while this process formats 0, 2, 4, ...
+    Both step their copy of one generator, so bytes and errors match: the helper
+    sends a block cut short by the error, then this process raises it, and a frame
+    that does not arrive whole (the helper ended or was killed) is formatted here,
+    with every later block.  The helper leaves only by os._exit, never flushing
+    inherited buffers; this process closes the pipe and reaps it on every way out."""
+    yield fmt(next(blocks))
     second = next(blocks, None)
     if second is None:
         return
@@ -232,23 +235,22 @@ def _alternate(first: list, blocks: Iterator[list], fmt) -> Iterator[str]:
         if pid:
             os.close(write)
             frames = open(read, "rb")
+    sending = pid is not None
     try:
         for i, block in enumerate(chain([second], blocks)):
-            yield fmt(block) if pid is None or i % 2 else _frame(frames)
+            if sending and not i % 2:
+                head = frames.read(8)
+                size = int.from_bytes(head, "little")
+                data = frames.read(size) if len(head) == 8 else b""
+                if data and len(data) == size:
+                    yield data.decode()
+                    continue
+                sending = False  # the helper ended: this block and the rest are formatted here
+            yield fmt(block)
     finally:
         if pid is not None:
             frames.close()
             os.waitpid(pid, 0)
-
-
-def _frame(frames) -> str:
-    """The next frame from _alternate's helper, as text."""
-    head = frames.read(8)
-    size = int.from_bytes(head, "little")
-    data = frames.read(size) if len(head) == 8 else b""
-    if not data or len(data) < size:
-        raise ValueError("the helper process that formats every other block ended early")
-    return data.decode()
 
 
 class _FloatText(dict):
@@ -264,10 +266,6 @@ class _FloatText(dict):
                 self.clear()
             self[value] = text
         return text
-
-    def cells(self, energy: float, energy0: float) -> tuple[str, str]:
-        """The energy and its drift from energy0, as text."""
-        return self[energy], self[energy - energy0]
 
 
 def _quadratic_column(args, scheme: SchemeId, form) -> Iterator[tuple[int, int]]:
@@ -411,16 +409,15 @@ def cmd_verify(args) -> Iterator[str]:
 def cmd_simulate(args) -> Iterator[str]:
     scheme = SchemeId(args.scheme)
     if args.exact:
-        energy, p5, q5, r5 = _energy_text(args, scheme), [0, 1], [0, 1], [0, 1]  # [m, 5^m] each
+        energy, pc, qc, rc = _energy_text(args, scheme), [0, 1, 1], [0, 1, 1], [0, 1, 1]
         lines = (
-            f"{step},{_format_ratio(p, e, p5)},{_format_ratio(q, e, q5)},"
-            f"{energy},{_format_ratio(norm, e_sq, r5)}\n"
+            f"{step},{_format_ratio(p, e, pc)},{_format_ratio(q, e, qc)},"
+            f"{energy},{_format_ratio(norm, e_sq, rc)}\n"
             for step, (((p, q), e), (norm, e_sq)) in enumerate(_exact_orbit(args, scheme))
         )
     else:
         blocks, text = _float_blocks(args, scheme), _FloatText()
-        lines = _alternate(  # the first block is taken here: a bad start fails at once
-            next(blocks),
+        lines = _alternate(
             blocks,
             lambda block: "".join([
                 f"{step},{p!r},{q!r},{text[e]},{norm!r}\n" for step, p, q, norm, e in block
@@ -434,12 +431,12 @@ def cmd_shadow(args) -> Iterator[str]:
     if args.exact:  # each scheme's energy is proved constant, so every drift is 0
         tail = "".join([f",{_energy_text(args, s)},0" for s in SchemeId]) + "\n"
         return chain([header], (f"{step}{tail}" for step in range(args.steps + 1)))
-    cells = _FloatText().cells
+    text = _FloatText()
     rows = zip(*[(row[-1] for block in _float_blocks(args, s) for row in block) for s in SchemeId])
-    row0 = next(rows)
+    first0, second0 = row0 = next(rows)
     lines = (
-        ",".join([str(step), *chain.from_iterable(map(cells, energies, row0))]) + "\n"
-        for step, energies in enumerate(chain([row0], rows))
+        f"{step},{text[first]},{text[first - first0]},{text[second]},{text[second - second0]}\n"
+        for step, (first, second) in enumerate(chain([row0], rows))
     )
     return chain([header], lines)
 
@@ -568,21 +565,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Stream one subcommand's lines.  The first, its header, is taken before
-    the output opens: input refused by then exits 2 (ValueError) and leaves it
-    untouched.  RuntimeError after the last line exits 1, the CSV kept; a later
-    ValueError or a failed write exits 2 and removes a partial --out."""
+    """Stream one subcommand's lines.  The first two, its header and first row,
+    are taken before the output opens: input refused by then exits 2 (ValueError)
+    and leaves it untouched.  RuntimeError after the last line exits 1, the CSV
+    kept; a later ValueError or a failed write exits 2 and removes a partial --out."""
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     out, handle = args.out, None
     try:
-        header = next(lines := args.handler(args))
+        head = [*islice(lines := args.handler(args), 2)]
         handle = sys.stdout if out is None else open(out, "w", newline="")
         if isinstance(getattr(handle, "buffer", None), io.RawIOBase):  # python -u
             # The text layer would drop what a partial write leaves over.
             handle = open(handle.fileno(), "w", encoding=handle.encoding, closefd=False)
         try:
-            handle.write(header)
+            handle.writelines(head)
             handle.writelines(lines)
         finally:  # in the outer try: a failed write outranks a failed check
             handle.flush()

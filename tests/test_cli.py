@@ -352,16 +352,19 @@ def test_format_ratio_matches_reference_property(
     n = -n if negative else n
     text = format_ratio_reference(n, d)
     assert cli._format_ratio(n, d) == text
-    # A column's 5^m carried from a cell whose cut was above, at or below this one's.
-    five = [carried, 5**carried]
-    assert cli._format_ratio(n, d, five) == text
+    # A column's carry from a cell whose cut was above, at or below this one's,
+    # and whose d's odd part divides this one's (1 and odd) or does not.
+    prior = rng.choice([1, odd, 3 * odd, rng.getrandbits(odd_bits) | 1])
+    carry = [carried, prior, prior * 5**carried]
+    assert cli._format_ratio(n, d, carry) == text
     cut = cut_digits(n, d)
-    assert five == ([cut, 5**cut] if cut > 0 else [carried, 5**carried])
+    kept = [cut, odd, odd * 5**cut] if cut > 0 else [carried, prior, prior * 5**carried]
+    assert carry == kept
 
 
 # One column's cuts m, cell by cell (m <= 0 is the k >= 0 branch): m rises
 # by 0, 1, 2, 3 and more, falls, and crosses between the two branches; None
-# is a zero cell, which leaves the carried power as it is.
+# is a zero cell, which leaves the carry as it is.
 CARRY_CUTS = [-19, -4, 0, 1, 1, 2, 4, 7, None, 7, 30, 12, 13, -2, 5, 40, 0, None, 3, 3]
 
 
@@ -370,16 +373,65 @@ def test_format_ratio_carried_column_matches_decimal_division(d):
     cuts = [cut for cut in CARRY_CUTS if cut is not None]
     steps = {b - a for a, b in itertools.pairwise(cuts)}
     assert {0, 1, 2, 3, 23} <= steps and min(steps) < -20
-    five, kept = [0, 1], [0, 1]
+    odd = d // (d & -d)
+    carry, kept = [0, 1, 1], [0, 1, 1]
     for i, cut in enumerate(CARRY_CUTS):
         # 2 10^(m+19) plus a remainder in every other cell, alternating signs.
         n = 0 if cut is None else (-1) ** i * (2 * 10 ** (cut + 19) * d + i % 2)
         assert n == 0 or cut_digits(n, d) == cut
-        text = cli._format_ratio(n, d, five)
+        text = cli._format_ratio(n, d, carry)
         assert text == decimal_reference(n, d) == cli._format_ratio(n, d)
         if n and cut > 0:
-            kept = [cut, 5**cut]
-        assert five == kept
+            kept = [cut, odd, odd * 5**cut]
+        assert carry == kept
+
+
+class CarriedDivisor(int):
+    """A carried o 5^m that records each factor it is multiplied by."""
+
+    def __mul__(self, other):
+        self.factors.append(other)
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+# d's odd part by cell: grown by a fixed factor (27, as 108 = 4 27 at
+# x = -7/3, second scheme), by a factor that changes (7^i), and by none
+# (3^i + 2^(i+1) is no multiple of the cell before's); with the cuts of
+# CARRY_CUTS, the large cells that rebuild o 5^m: where the cut falls,
+# and where the odd part is no multiple of the last one.
+CARRY_ODD_PARTS = {
+    "fixed": (lambda i: 3 * 27**i, 3),
+    "changing": (lambda i: 7 ** (i * (i + 1) // 2), 3),
+    "none": (lambda i: 3**i + 2 ** (i + 1), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_ODD_PARTS))
+def test_format_ratio_carry_is_multiplied_up_unless_it_must_be_rebuilt(name):
+    odd_part, rebuilds = CARRY_ODD_PARTS[name]
+    carry, kept, rebuilt = [0, 1, 1], [0, 1, 1], 0
+    for i, cut in enumerate(CARRY_CUTS):
+        odd = odd_part(i)
+        d = odd << (5 * i % 7)  # twos that rise and fall too
+        n = 0 if cut is None else (-1) ** i * (2 * 10 ** (cut + 19) * d + i % 2)
+        assert n == 0 or cut_digits(n, d) == cut
+        carry[2] = counted = CarriedDivisor(carry[2])
+        counted.factors = []
+        text = cli._format_ratio(n, d, carry)
+        assert text == decimal_reference(n, d) == cli._format_ratio(n, d)
+        factors = []  # small: the growth of the odd part times 5^(m - m_before)
+        if n and cut > 0:
+            m, before, _ = kept
+            if cut >= m and odd % before == 0:
+                factors = [odd // before * 5 ** (cut - m)]
+            else:
+                rebuilt += 1
+            kept = [cut, odd, odd * 5**cut]
+        assert carry == kept
+        assert counted.factors == factors, i
+    assert rebuilt == rebuilds
 
 
 def reference_rows(command, scheme, x, s0, steps, exact):
@@ -1274,37 +1326,68 @@ def test_coeffs_parses_no_rational(capsys, monkeypatch):
     assert parsed == ["0", "3", "0.1"]
 
 
+# Where simulate's helper stops: after its frame of block 1, or partway
+# through block 3's frame, in its length or in its text.
+HELPER_ENDS = {"after_block_1": 0, "in_the_length": 3, "after_the_length": 8, "in_the_text": 5000}
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-def test_helper_ending_early_exits_two(tmp_path, capsys, monkeypatch):
-    # The helper formats blocks 1, 3, ...; this one leaves after block 1, so
-    # the rows of blocks 0-2 are printed and then the run fails.
-    two_cpus(monkeypatch)
-    alternate, parent, argv = cli._alternate, os.getpid(), ["simulate", "--steps", "5000"]
-    code, rows = run_cli(capsys, *argv)
+@pytest.mark.parametrize("end", sorted(HELPER_ENDS))
+def test_helper_ending_early_changes_no_byte(tmp_path, capsys, monkeypatch, end):
+    # The helper formats blocks 1, 3, ...; this one sends block 1 and then
+    # the first bytes of block 3's frame, and leaves.  The process formats
+    # block 3 and every later one itself: exit 0, the rows of a run with no
+    # helper, and the helper reaped.
+    argv = ["simulate", "--steps", "5000"]
+    with monkeypatch.context() as patch:
+        HELPER_RULES["no fork"](patch)
+        code, rows = run_cli(capsys, *argv)
     assert code == 0
+    two_cpus(monkeypatch)
+    forks, pipes, pipe = count_forks(monkeypatch), [], os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    alternate, parent, formatted = cli._alternate, os.getpid(), []
 
-    def first_frame_only(first, blocks, fmt):
-        sent = []
-
+    def sends_part_of_block_3(blocks, fmt):
         def fmt_or_leave(block):
-            if os.getpid() != parent:
-                if sent:
-                    os._exit(0)
-                sent.append(block)
-            return fmt(block)
+            text = fmt(block)
+            if os.getpid() == parent:
+                formatted.append(block[0][0] // cli._FLOAT_BLOCK)
+            elif block[0][0] == 3 * cli._FLOAT_BLOCK:
+                frame = len(text.encode()).to_bytes(8, "little") + text.encode()
+                os.write(pipes[-1][1], frame[: HELPER_ENDS[end]])
+                os._exit(0)
+            return text
 
-        return alternate(first, blocks, fmt_or_leave)
+        return alternate(blocks, fmt_or_leave)
 
-    monkeypatch.setattr(cli, "_alternate", first_frame_only)
-    message = "shadowosc: error: the helper process that formats every other block ended early\n"
-    for out in ([], ["--out", str(tmp_path / "rows.csv")]):
-        assert cli.main([*out, *argv]) == 2
+    monkeypatch.setattr(cli, "_alternate", sends_part_of_block_3)
+    target = tmp_path / "rows.csv"
+    for out in ([], ["--out", str(target)]):
+        formatted.clear()
+        assert cli.main([*out, *argv]) == 0
         assert_no_child_left()
         captured = capsys.readouterr()
-        assert captured.err == message
-        kept = "".join(rows.splitlines(keepends=True)[: 3 * cli._FLOAT_BLOCK + 1])
-        assert captured.out == ("" if out else kept)
-        assert list(tmp_path.iterdir()) == []  # the partial --out file is removed
+        assert (captured.out or target.read_text(), captured.err) == (rows, "")
+        assert formatted == [0, 2, 3, 4]
+    assert len(forks) == 2
+
+
+def test_refusal_at_the_first_row_writes_nothing(tmp_path, capsys, monkeypatch):
+    # main takes the header and the first row before it opens the output, so
+    # a handler refusing its first row leaves stdout empty and an older --out
+    # as it was.
+    def header_then_refusal(args):
+        yield "x,y\n"
+        raise ValueError("the first row is refused")
+
+    monkeypatch.setattr(cli, "cmd_sweep", header_then_refusal)
+    older = tmp_path / "older.csv"
+    older.write_bytes(b"x,y\n1,2\n")
+    for out in ([], ["--out", str(older)]):
+        assert cli.main([*out, "sweep", "--x", "1"]) == 2
+        assert capsys.readouterr() == ("", "shadowosc: error: the first row is refused\n")
+        assert older.read_bytes() == b"x,y\n1,2\n"
 
 
 def test_sweep_default_range(capsys):
